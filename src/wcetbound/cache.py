@@ -94,31 +94,15 @@ class ClassifiedAccess:
 ClassifiedTrace = tuple[ClassifiedAccess, ...]
 
 
-def init_cache() -> CacheState:
-    """The empty cache: every slot unoccupied."""
-    return ()
-
-
-def find(state: CacheState, line: int) -> int | None:
-    """Index of ``line`` in ``state`` (0 = most recent), None if absent.
-
-    Index 0 is a genuine Hit like any other position.
-    """
-    for i, resident in enumerate(state):
-        if resident == line:
-            return i
-    return None
-
-
 def access(
     state: CacheState, line: int, config: CacheConfig
 ) -> tuple[CacheState, Classification]:
     """Perform one access and return the successor state and outcome."""
-    idx = find(state, line)
-    if idx is None:
+    if line not in state:
         # Insert at front; the slice drops the eviction candidate when full.
         return (line,) + state[: config.capacity - 1], Classification.MISS
-    if config.policy is ReplacementPolicy.PROMOTE_ON_HIT and idx > 0:
+    if config.policy is ReplacementPolicy.PROMOTE_ON_HIT and state[0] != line:
+        idx = state.index(line)
         return (line,) + state[:idx] + state[idx + 1 :], Classification.HIT
     return state, Classification.HIT
 

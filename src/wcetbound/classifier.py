@@ -152,8 +152,11 @@ def _check_same_alphabet(
     return a.alphabet
 
 
-def hit_or_miss(lines_or_alphabet: Iterable[int | AccessSymbol]) -> ClassifierAutomaton:
-    """The universal model: every classification of every line is allowed."""
+def _alphabet(
+    lines_or_alphabet: Iterable[int | AccessSymbol],
+) -> tuple[AccessSymbol, ...]:
+    """The sorted alphabet given as symbols, or both classifications of
+    each given line."""
     items = list(lines_or_alphabet)
     if items and isinstance(items[0], AccessSymbol):
         alphabet = tuple(sorted(set(items)))  # type: ignore[arg-type]
@@ -161,6 +164,12 @@ def hit_or_miss(lines_or_alphabet: Iterable[int | AccessSymbol]) -> ClassifierAu
         alphabet = full_alphabet(items)  # type: ignore[arg-type]
     if not alphabet:
         raise ValidationError("alphabet must be nonempty")
+    return alphabet
+
+
+def hit_or_miss(lines_or_alphabet: Iterable[int | AccessSymbol]) -> ClassifierAutomaton:
+    """The universal model: every classification of every line is allowed."""
+    alphabet = _alphabet(lines_or_alphabet)
     return ClassifierAutomaton(
         alphabet=alphabet,
         initial=0,
@@ -187,15 +196,14 @@ def intersect(
     start = (a.initial, b.initial)
     index: dict[tuple[int, int], int] = {start: 0}
     rows: list[dict[AccessSymbol, int]] = []
-    queue = [start]
-    while queue:
-        qa, qb = queue.pop(0)
+    pairs = [start]
+    for qa, qb in pairs:
         row: dict[AccessSymbol, int] = {}
         for sym in order:
             nxt = (a.transitions[qa][sym], b.transitions[qb][sym])
             if nxt not in index:
                 index[nxt] = len(index)
-                queue.append(nxt)
+                pairs.append(nxt)
             row[sym] = index[nxt]
         rows.append(row)
     accepting = frozenset(
@@ -309,19 +317,17 @@ def infix_language(
             f"core symbols {sorted(missing)} are outside the alphabet"
         )
     m = len(syms)
-    rows: list[dict[AccessSymbol, int]] = []
-    for q in range(m):
-        row = {}
-        for sym in alpha:
-            if sym == syms[q]:
-                row[sym] = q + 1
-            elif q == 0:
-                row[sym] = 0
-            else:
-                # Longest border: defer to the state after the failure link,
-                # already computed because it is strictly smaller than q.
-                row[sym] = rows[_failure(syms, q)][sym]
+    rows = [{sym: 0 for sym in alpha}]
+    rows[0][syms[0]] = 1
+    # ``border`` is the state the automaton reaches on syms[1:q], i.e. the
+    # longest proper border of syms[:q]; off the core, state q behaves as
+    # that strictly smaller, already built state does.
+    border = 0
+    for q in range(1, m):
+        row = dict(rows[border])
+        row[syms[q]] = q + 1
         rows.append(row)
+        border = rows[border][syms[q]]
     rows.append({sym: m for sym in alpha})
     return ClassifierAutomaton(
         alphabet=alpha,
@@ -329,17 +335,6 @@ def infix_language(
         accepting=frozenset({m}),
         transitions=tuple(rows),
     )
-
-
-def _failure(syms: tuple[AccessSymbol, ...], q: int) -> int:
-    """Length of the longest proper border of syms[:q]."""
-    k = 0
-    for i in range(1, q):
-        while k and syms[i] != syms[k]:
-            k = _failure(syms, k)
-        if syms[i] == syms[k]:
-            k += 1
-    return k
 
 
 # --- pattern expressions ---------------------------------------------------
@@ -413,13 +408,7 @@ def from_pattern(
     postfix '*'.  The empty pattern accepts only the empty trace, whose
     prefix lens then allows nothing but the empty trace.
     """
-    items = list(lines_or_alphabet)
-    if items and isinstance(items[0], AccessSymbol):
-        alphabet = tuple(sorted(set(items)))  # type: ignore[arg-type]
-    else:
-        alphabet = full_alphabet(items)  # type: ignore[arg-type]
-    if not alphabet:
-        raise ValidationError("alphabet must be nonempty")
+    alphabet = _alphabet(lines_or_alphabet)
     ast = _parse_pattern(pattern)
 
     # Thompson construction over the two classification letters.
@@ -468,9 +457,8 @@ def from_pattern(
     start_set = closure(frozenset({start}))
     index: dict[frozenset[int], int] = {start_set: 0}
     letter_rows: list[dict[Classification, int]] = []
-    queue = [start_set]
-    while queue:
-        current = queue.pop(0)
+    subsets = [start_set]
+    for current in subsets:
         row: dict[Classification, int] = {}
         for letter in letters:
             moved = frozenset(
@@ -479,7 +467,7 @@ def from_pattern(
             nxt = closure(moved)
             if nxt not in index:
                 index[nxt] = len(index)
-                queue.append(nxt)
+                subsets.append(nxt)
             row[letter] = index[nxt]
         letter_rows.append(row)
     accepting = frozenset(

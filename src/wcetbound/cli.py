@@ -45,7 +45,9 @@ from .explorer import ExplorationResult, explore_abstract, explore_explicit
 from .program import (
     Program,
     branching_loop_program,
+    ensure_bounded,
     language_sequences,
+    longest_run,
     parse_program,
     serialize_program,
 )
@@ -56,7 +58,7 @@ from .refinement import (
     realizable_from,
     run_refinement,
 )
-from .timing import step_cost, trace_time
+from .timing import step_cost
 
 Record = tuple[str, list[tuple[str, object]]]
 
@@ -180,8 +182,11 @@ def parse_trace_text(text: str, config: CacheConfig) -> ClassifiedTrace:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except ValueError as exc:  # not UTF-8, or a NUL byte in the path
+        raise ParseError(f"cannot read {path!r}: {exc}") from None
 
 
 def _load_model(
@@ -239,17 +244,21 @@ def cmd_wcet(args) -> int:
             f"--pattern/--model apply to abstract mode, not {args.analysis}"
         )
 
-    started = time.perf_counter()
-    refinement: RefinementResult | None = None
-    if args.analysis == "explicit":
-        result = explore_explicit(program, config, init=init_state or ())
-    elif args.analysis == "abstract":
+    if args.analysis == "abstract":
         if init_state not in (None, ()):
             raise ValidationError(
                 "abstract mode ignores cache contents; --init state=... "
                 "is not meaningful here"
             )
         model = _load_model(args, program, config)
+    if longest_run(program, ensure_bounded(program)) > args.max_len:
+        raise BoundExceeded(f"a run longer than max_len={args.max_len} exists")
+
+    started = time.perf_counter()
+    refinement: RefinementResult | None = None
+    if args.analysis == "explicit":
+        result = explore_explicit(program, config, init=init_state or ())
+    elif args.analysis == "abstract":
         result = explore_abstract(program, model, config)
     else:
         refinement = run_refinement(program, config, max_iters=args.max_iters)
@@ -294,13 +303,10 @@ def cmd_wcet(args) -> int:
             if step.core is not None:
                 line += f" core={_core_token(step.core)}"
             print(line)
-        verdict = is_feasible_from_some_state(result.witness, config)
-        print(
-            f"witness initial state: {_state_token(verdict.initial_state or ())}"
-        )
+        print(f"witness initial state: {_state_token(refinement.initial_state)}")
         result_fields.append(("iterations", len(refinement.log)))
         result_fields.append(
-            ("witness_initial", _state_token(verdict.initial_state or ()))
+            ("witness_initial", _state_token(refinement.initial_state))
         )
         if init_kind != "unknown":
             ok = realizable_from(init_state or (), result.witness, config)
@@ -386,7 +392,9 @@ def cmd_sweep(args) -> int:
                 ("branches_lo", lo),
                 ("branches_hi", hi),
                 ("modes", ",".join(modes)),
-                ("pattern", args.pattern),
+                # Whitespace means nothing in a pattern, and record values
+                # may not hold any.
+                ("pattern", "".join(args.pattern.split())),
             ],
         ),
         _config_record(config, "empty", args),
@@ -554,11 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--policy", choices=["promote", "fifo"], default="promote",
                         help="promote: move hit lines to the front; fifo: never reorder")
     shared.add_argument("--max-len", type=int, default=10_000, dest="max_len",
-                        help="longest run to tolerate when enumerating")
+                        help="longest program run to tolerate")
     shared.add_argument("--max-iters", type=int, default=10_000, dest="max_iters",
                         help="refinement iteration budget")
-    shared.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; the engine is sequential")
     shared.add_argument("--out", help="write a machine-readable report here")
 
     p_wcet = sub.add_parser(

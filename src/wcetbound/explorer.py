@@ -27,7 +27,7 @@ from .cache import (
     validate_state,
 )
 from .classifier import AccessSymbol, ClassifierAutomaton
-from .errors import AbstractModelEmpty, AlphabetMismatch, UnknownInstruction
+from .errors import AbstractModelEmpty, AlphabetMismatch
 from .program import Program, ensure_bounded
 from .timing import step_cost
 
@@ -105,16 +105,6 @@ def _best_runs(
     return memo[start], len(memo)
 
 
-def _edges_by_location(
-    program: Program, co: frozenset[str]
-) -> dict[str, tuple[tuple[int, str], ...]]:
-    out: dict[str, list[tuple[int, str]]] = {}
-    for e in program.edges:
-        if e.src in co and e.dst in co:
-            out.setdefault(e.src, []).append((e.pc, e.dst))
-    return {loc: tuple(sorted(pairs)) for loc, pairs in out.items()}
-
-
 def explore_explicit(
     program: Program,
     config: CacheConfig,
@@ -123,8 +113,7 @@ def explore_explicit(
 ) -> ExplorationResult:
     """Exact WCET over all runs from a known initial cache state."""
     validate_state(init, config)
-    co = ensure_bounded(program)
-    edges = _edges_by_location(program, co)
+    edges = ensure_bounded(program)
     durs = program.durations if durations is None else durations
 
     def expand(key):
@@ -158,8 +147,7 @@ def explore_abstract(
     dead region, so exploration steps only into live states; a run counts
     once it reaches the end location (still live by construction).
     """
-    co = ensure_bounded(program)
-    edges = _edges_by_location(program, co)
+    edges = ensure_bounded(program)
     durs = program.durations if durations is None else durations
     model_lines = {sym.line for sym in model.alphabet}
     missing = {config.line_of(pc) for pc in durs} - model_lines

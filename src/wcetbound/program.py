@@ -25,22 +25,15 @@ class Edge(NamedTuple):
     dst: str
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """A pc with its execute duration and the cache line it occupies."""
-
-    pc: int
-    dur: int
-    line: int
-
-
 @dataclass(frozen=True, eq=True)
 class Program:
     name: str
     entry: str
     end: str
     edges: tuple[Edge, ...]
-    durations: dict[int, int] = field(default_factory=dict)
+    # Left out of the hash because a dict is unhashable; equal programs
+    # still hash equally.
+    durations: dict[int, int] = field(default_factory=dict, hash=False)
     locations: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -100,7 +93,10 @@ class Program:
         for e in self.edges:
             if e.pc not in self.durations:
                 raise ValidationError(f"edge {e} executes pc with no duration")
-        reachable = self._reachable_from_entry()
+        succ: dict[str, list[str]] = {}
+        for e in self.edges:
+            succ.setdefault(e.src, []).append(e.dst)
+        reachable = _reach(self.entry, succ)
         missing = self.locations - reachable
         if missing:
             raise ValidationError(
@@ -109,31 +105,20 @@ class Program:
         if self.end not in reachable:
             raise ValidationError("end is unreachable from entry: empty language")
 
-    def _reachable_from_entry(self) -> set[str]:
-        succ: dict[str, list[str]] = {}
-        for e in self.edges:
-            succ.setdefault(e.src, []).append(e.dst)
-        seen = {self.entry}
-        todo = [self.entry]
-        while todo:
-            for nxt in succ.get(todo.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return seen
-
-    @property
-    def pcs(self) -> tuple[int, ...]:
-        return tuple(sorted(self.durations))
-
-    def instruction_table(self, config: CacheConfig) -> dict[int, Instruction]:
-        return {
-            pc: Instruction(pc, dur, config.line_of(pc))
-            for pc, dur in sorted(self.durations.items())
-        }
-
     def lines(self, config: CacheConfig) -> tuple[int, ...]:
         return tuple(sorted({config.line_of(pc) for pc in self.durations}))
+
+
+def _reach(start: str, step: Mapping[str, list[str]]) -> set[str]:
+    """Every location reachable from ``start`` along ``step`` (start included)."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        for nxt in step.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
 
 
 def co_reachable(program: Program) -> frozenset[str]:
@@ -141,36 +126,39 @@ def co_reachable(program: Program) -> frozenset[str]:
     pred: dict[str, list[str]] = {}
     for e in program.edges:
         pred.setdefault(e.dst, []).append(e.src)
-    seen = {program.end}
-    todo = [program.end]
-    while todo:
-        for prv in pred.get(todo.pop(), ()):
-            if prv not in seen:
-                seen.add(prv)
-                todo.append(prv)
-    return frozenset(seen)
+    return frozenset(_reach(program.end, pred))
 
 
-def ensure_bounded(program: Program) -> frozenset[str]:
-    """Check that the run set is finite; returns the co-reachable locations.
+Adjacency = dict[str, tuple[tuple[int, str], ...]]
 
+
+def ensure_bounded(program: Program) -> Adjacency:
+    """Check that the run set is finite; returns the co-reachable adjacency.
+
+    The adjacency maps each location that can reach the end, other than the
+    end itself, to its (pc, destination) edges into such locations, sorted.
     A cycle among end-co-reachable locations yields arbitrarily long runs,
     so it raises BoundExceeded.  Cycles are never split across the
     co-reachable boundary: anything on a cycle with a co-reachable location
     is itself co-reachable.
     """
     co = co_reachable(program)
-    succ: dict[str, list[str]] = {}
+    out: dict[str, list[tuple[int, str]]] = {}
     for e in program.edges:
         if e.src in co and e.dst in co:
-            succ.setdefault(e.src, []).append(e.dst)
+            out.setdefault(e.src, []).append((e.pc, e.dst))
+    adjacency = {loc: tuple(sorted(pairs)) for loc, pairs in out.items()}
+
+    def succ(loc: str) -> Iterator[str]:
+        return (dst for _, dst in adjacency.get(loc, ()))
+
     # Iterative three-colour DFS.
     WHITE, GREY, BLACK = 0, 1, 2
     colour = {loc: WHITE for loc in co}
     for root in sorted(co):
         if colour[root] != WHITE:
             continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, iter(succ.get(root, ())))]
+        stack: list[tuple[str, Iterator[str]]] = [(root, succ(root))]
         colour[root] = GREY
         while stack:
             loc, it = stack[-1]
@@ -183,13 +171,31 @@ def ensure_bounded(program: Program) -> frozenset[str]:
                     )
                 if colour[nxt] == WHITE:
                     colour[nxt] = GREY
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
+                    stack.append((nxt, succ(nxt)))
                     advanced = True
                     break
             if not advanced:
                 colour[loc] = BLACK
                 stack.pop()
-    return co
+    return adjacency
+
+
+def longest_run(program: Program, adjacency: Adjacency) -> int:
+    """Length of the longest entry-to-end run, read off the acyclic
+    adjacency that ``ensure_bounded`` returns."""
+    longest = {program.end: 0}
+    stack = [program.entry]
+    while stack:
+        loc = stack.pop()
+        if loc in longest:
+            continue
+        pending = [dst for _, dst in adjacency[loc] if dst not in longest]
+        if pending:
+            stack.append(loc)
+            stack.extend(pending)
+        else:
+            longest[loc] = 1 + max(longest[dst] for _, dst in adjacency[loc])
+    return longest[program.entry]
 
 
 def language_sequences(program: Program, max_len: int) -> Iterator[tuple[int, ...]]:
@@ -199,16 +205,15 @@ def language_sequences(program: Program, max_len: int) -> Iterator[tuple[int, ..
     Enumeration runs over the subset determinization of the location
     automaton, so duplicate labellings of distinct paths collapse.  Dead
     branches (locations that cannot reach the end) are pruned; if a run
-    longer than max_len exists, BoundExceeded is raised rather than
-    silently truncating the language.
+    longer than max_len exists, or a cycle reaches the end, BoundExceeded
+    is raised rather than silently truncating the language.
     """
     if max_len < 0:
         raise ValidationError(f"max_len must be >= 0, got {max_len}")
-    co = co_reachable(program)
     by_loc: dict[str, dict[int, set[str]]] = {}
-    for e in program.edges:
-        if e.src in co and e.dst in co:
-            by_loc.setdefault(e.src, {}).setdefault(e.pc, set()).add(e.dst)
+    for loc, pairs in ensure_bounded(program).items():
+        for pc, dst in pairs:
+            by_loc.setdefault(loc, {}).setdefault(pc, set()).add(dst)
 
     succ_cache: dict[tuple[str, ...], tuple[tuple[int, tuple[str, ...]], ...]] = {}
 
@@ -341,7 +346,7 @@ def parse_program(text: str) -> Program:
             pc = kv(args[0], "pc", line_no)
             dur = kv(args[1], "dur", line_no) if len(args) == 2 else 1
             if pc in durations:
-                raise ValidationError(f"duplicate instr for pc={pc}")
+                raise ParseError(f"duplicate instr for pc={pc}", line_no)
             durations[pc] = dur
         elif directive == "edge":
             if len(args) != 3:

@@ -30,9 +30,6 @@ from .cache import (
     access,
 )
 from .classifier import (
-    ClassifierAutomaton,
-    AccessSymbol,
-    as_symbols,
     full_alphabet,
     hit_or_miss,
     infix_language,
@@ -65,9 +62,11 @@ class RefinementResult:
     wcet: int
     witness: ClassifiedTrace
     log: tuple[RefinementStep, ...]
+    # The state the final feasibility verdict found to realize the witness.
+    initial_state: CacheState
 
 
-def _realizes(
+def realizable_from(
     initial: CacheState, trace: ClassifiedTrace, config: CacheConfig
 ) -> bool:
     """Does simulating from ``initial`` reproduce the trace's outcomes?"""
@@ -77,13 +76,6 @@ def _realizes(
         if cls is not a.cls:
             return False
     return True
-
-
-def realizable_from(
-    initial: CacheState, trace: ClassifiedTrace, config: CacheConfig
-) -> bool:
-    """Public fixed-state check: does this one state reproduce the trace?"""
-    return _realizes(tuple(initial), trace, config)
 
 
 def candidate_initial_states(
@@ -112,17 +104,9 @@ def is_feasible_from_some_state(
     """Search the candidate family for a state that realizes the trace."""
     lines = tuple(a.line for a in trace)
     for state in candidate_initial_states(lines, config.capacity):
-        if _realizes(state, trace, config):
+        if realizable_from(state, trace, config):
             return FeasibilityVerdict(True, state)
     return FeasibilityVerdict(False, None)
-
-
-def infeasible_from_every_state(
-    trace: ClassifiedTrace, config: CacheConfig
-) -> bool:
-    """No initial state at all realizes the trace (same family argument,
-    applied to the trace's own lines)."""
-    return not is_feasible_from_some_state(trace, config).feasible
 
 
 def infeasible_core(
@@ -139,22 +123,11 @@ def infeasible_core(
     for length in range(1, n + 1):
         for start in range(0, n - length + 1):
             infix = trace[start : start + length]
-            if infeasible_from_every_state(infix, config):
+            if not is_feasible_from_some_state(infix, config).feasible:
                 return infix
     raise ValidationError(
         "infeasible_core needs a trace no initial state realizes"
     )
-
-
-def build_o_t(
-    core: ClassifiedTrace, alphabet: tuple[AccessSymbol, ...]
-) -> ClassifierAutomaton:
-    """Automaton for every trace containing the core as a contiguous infix.
-
-    Cache behaviour depends on lines only, so the core is matched by its
-    (line, classification) symbols; pc identity is irrelevant.
-    """
-    return infix_language(as_symbols(core), alphabet)
 
 
 def run_refinement(
@@ -190,7 +163,9 @@ def run_refinement(
                 )
             )
             assert result.wcet == trace_time(result.witness, durs, config)
-            return RefinementResult(result.wcet, result.witness, tuple(log))
+            return RefinementResult(
+                result.wcet, result.witness, tuple(log), verdict.initial_state
+            )
         core = infeasible_core(result.witness, config)
         log.append(
             RefinementStep(
@@ -198,7 +173,9 @@ def run_refinement(
                 model.n_states,
             )
         )
-        model = subtract(model, build_o_t(core, alphabet))
+        # The core is matched by its (line, classification) symbols: cache
+        # behaviour depends on lines only, not on which pc touched them.
+        model = subtract(model, infix_language(core, alphabet))
     raise IterationBudgetExceeded(
         f"no feasible witness within {max_iters} iterations", log
     )

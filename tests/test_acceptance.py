@@ -25,12 +25,12 @@ from wcetbound import (
     accepts,
     access,
     branching_loop_program,
-    build_o_t,
     explore_abstract,
     explore_explicit,
     from_pattern,
     full_alphabet,
     infeasible_core,
+    infix_language,
     is_feasible_from_some_state,
     run_refinement,
     simulate,
@@ -176,7 +176,7 @@ def test_criterion_6_excluded_languages_are_infeasible(corpus):
                 if step.core is None:
                     continue
                 cores_seen += 1
-                o_t = build_o_t(step.core, alphabet)
+                o_t = infix_language(step.core, alphabet)
                 core_syms = tuple(
                     AccessSymbol(a.line, a.cls) for a in step.core
                 )

@@ -17,8 +17,6 @@ from wcetbound import (
     ReplacementPolicy,
     ValidationError,
     access,
-    find,
-    init_cache,
     simulate,
     validate_state,
 )
@@ -47,17 +45,6 @@ def ref_access(slots: list[int], line: int, capacity: int, promote: bool) -> boo
 
 def ref_state(slots: list[int]) -> tuple[int, ...]:
     return tuple(s for s in slots if s != EMPTY)
-
-
-def test_empty_cache_is_empty_tuple():
-    assert init_cache() == ()
-
-
-def test_find_positions():
-    assert find((1, 2), 1) == 0
-    assert find((1, 2), 2) == 1
-    assert find((1, 2), 3) is None
-    assert find((), 5) is None
 
 
 def test_hit_at_front_counts_as_hit():
@@ -111,7 +98,7 @@ def test_cold_start_final_state_capacity_two():
     for a in trace:
         final, _ = access(final, a.line, config)
     assert final == (3, 2)
-    assert find(final, 1) is None  # line 1 was evicted
+    assert 1 not in final  # line 1 was evicted
     assert final[-1] == 2  # line 2 is next in line for eviction
 
 
@@ -176,7 +163,7 @@ def test_agrees_with_reference_walk():
         policy = rng.choice(list(ReplacementPolicy))
         config = CacheConfig(capacity=capacity, policy=policy)
         slots = [EMPTY] * capacity
-        state = init_cache()
+        state = ()
         for _ in range(rng.randint(1, 20)):
             line = rng.randint(0, 5)
             hit = ref_access(
@@ -191,7 +178,7 @@ def test_state_invariants_hold_under_random_access():
     rng = random.Random(7)
     for _ in range(200):
         config = CacheConfig(capacity=rng.randint(1, 4))
-        state = init_cache()
+        state = ()
         for _ in range(30):
             line = rng.randint(0, 6)
             prev = state
@@ -208,7 +195,7 @@ def test_state_invariants_hold_under_random_access():
 def test_fifo_hit_never_changes_state():
     rng = random.Random(21)
     config = CacheConfig(capacity=3, policy=ReplacementPolicy.PURE_FIFO)
-    state = init_cache()
+    state = ()
     for _ in range(100):
         line = rng.randint(0, 4)
         nxt, cls = access(state, line, config)

@@ -17,6 +17,8 @@ edge B C pc=2
 edge C D pc=1
 """
 
+CHAIN_1212 = CHAIN_121.replace("end D", "end E") + "edge D E pc=2\n"
+
 CYCLIC = """\
 program spin
 entry A
@@ -200,6 +202,29 @@ def test_unbounded_program_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_wcet_honours_max_len(tmp_path, capsys):
+    prog = write(tmp_path, "chain4.prog", CHAIN_1212)
+    for mode in (["explicit"], ["abstract", "--pattern", "M*"], ["refine"]):
+        argv = ["wcet", mode[0], prog, *mode[1:], "--max-len"]
+        assert main(argv + ["3"]) == 2, mode
+        assert "max_len=3" in capsys.readouterr().err
+        assert main(argv + ["4"]) == 0, mode
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wcet", "explicit", "{bad}"],
+    ["wcet", "abstract", "{prog}", "--model", "{bad}"],
+    ["feasibility", "{bad}"],
+])
+def test_input_that_is_not_utf8_exits_one(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff\xfe")
+    prog = write(tmp_path, "chain.prog", CHAIN_121)
+    assert main([a.format(bad=bad, prog=prog) for a in argv]) == 1
+    assert "can't decode" in capsys.readouterr().err
+
+
 def test_exhausted_budget_exits_three(tmp_path, capsys):
     prog = write(tmp_path, "chain.prog", CHAIN_121)
     assert main(["wcet", "refine", prog, "--max-iters", "1"]) == 3
@@ -299,13 +324,20 @@ def test_sweep_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_machine_records_have_no_spaces_in_values(tmp_path):
+def test_machine_records_have_no_spaces_in_values(tmp_path, capsys):
     prog = write(tmp_path, "chain.prog", CHAIN_121)
     rec = str(tmp_path / "r.rec")
-    main(["wcet", "refine", prog, "--out", rec])
-    for line in open(rec).read().splitlines():
-        for field in line.split()[1:]:
-            assert "=" in field
+    for argv in (
+        ["wcet", "refine", prog],
+        # pattern whitespace is insignificant and left out of the record
+        ["sweep", "--iterations", "1", "--branches", "1", "--pattern", "(M . H)*"],
+    ):
+        assert main(argv + ["--out", rec]) == 0
+        for line in open(rec).read().splitlines():
+            for field in line.split()[1:]:
+                assert "=" in field
+    assert by_type(records_of(rec), "meta")[0]["pattern"] == "(M.H)*"
+    capsys.readouterr()
 
 
 def test_module_entry_point():

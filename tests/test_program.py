@@ -16,6 +16,7 @@ from wcetbound import (
     parse_program,
     serialize_program,
 )
+from wcetbound.program import longest_run
 
 
 def test_build_canonicalizes_edges_and_infers_locations():
@@ -68,6 +69,7 @@ def test_language_is_sorted_and_duplicate_free():
         seqs = list(language_sequences(p, 64))
         assert seqs == sorted(seqs)
         assert len(seqs) == len(set(seqs))
+        assert longest_run(p, ensure_bounded(p)) == max(map(len, seqs))
 
 
 def test_nondeterministic_label_duplicates_collapse():
@@ -100,6 +102,12 @@ def test_branching_loop_run_count_large():
     p = branching_loop_program(iterations=5, branches=10)
     count = sum(1 for _ in language_sequences(p, 64))
     assert count == 11 ** 5 == 161051
+
+
+def test_equal_programs_hash_equally():
+    a, b = branching_loop_program(2, 1), branching_loop_program(2, 1)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, branching_loop_program(2, 2)}) == 2
 
 
 def test_branching_loop_duration_overrides():
@@ -178,9 +186,9 @@ def test_parse_errors_carry_line_numbers():
 
 def test_duplicate_instr_rejected():
     text = "program p\nentry A\nend B\ninstr pc=1 dur=1\ninstr pc=1 dur=2\nedge A B pc=1\n"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as err:
         parse_program(text)
-
+    assert "line 5: duplicate instr for pc=1" in str(err.value)
 
 def test_parse_requires_all_directives():
     with pytest.raises(ValidationError):

@@ -28,12 +28,11 @@ from wcetbound import (
     ValidationError,
     accepts,
     branching_loop_program,
-    build_o_t,
     candidate_initial_states,
     explore_explicit,
     full_alphabet,
     infeasible_core,
-    infeasible_from_every_state,
+    infix_language,
     is_feasible_from_some_state,
     realizable_from,
     run_refinement,
@@ -76,7 +75,7 @@ def test_double_miss_on_one_line_is_never_feasible():
     for capacity in (1, 2, 3):
         for policy in ReplacementPolicy:
             config = CacheConfig(capacity=capacity, policy=policy)
-            assert infeasible_from_every_state(tr((2, "M"), (2, "M")), config)
+            assert not is_feasible_from_some_state(tr((2, "M"), (2, "M")), config).feasible
 
 
 def test_hit_right_after_hit_on_same_line_is_fine():
@@ -90,7 +89,7 @@ def test_capacity_one_eviction_core():
     # hit is impossible whatever the cache held initially
     config = CacheConfig(capacity=1)
     trace = tr((1, "M"), (2, "M"), (1, "H"))
-    assert infeasible_from_every_state(trace, config)
+    assert not is_feasible_from_some_state(trace, config).feasible
     core = infeasible_core(trace, config)
     assert core == trace[1:3]
 
@@ -98,14 +97,14 @@ def test_capacity_one_eviction_core():
 def test_documented_two_miss_core():
     config = CacheConfig(capacity=2)
     trace = tr((1, "H"), (2, "M"), (2, "M"), (3, "H"))
-    assert infeasible_from_every_state(trace, config)
+    assert not is_feasible_from_some_state(trace, config).feasible
     assert infeasible_core(trace, config) == trace[1:3]
 
 
 def test_miss_after_hit_on_same_line_core():
     config = CacheConfig(capacity=2)
     trace = tr((1, "M"), (1, "H"), (1, "M"))
-    assert infeasible_from_every_state(trace, config)
+    assert not is_feasible_from_some_state(trace, config).feasible
     # the leading miss-hit pair is realizable; the hit-miss pair is not
     assert infeasible_core(trace, config) == trace[1:3]
 
@@ -215,7 +214,7 @@ def test_excluded_language_matches_by_line_not_pc():
     config = CacheConfig(capacity=1, line_size=2)
     alphabet = full_alphabet((1,))
     core = simulate(config, (), (2, 2))  # line 1 twice: M then H
-    o = build_o_t(core, alphabet)
+    o = infix_language(core, alphabet)
     other = simulate(config, (), (3, 3))
     assert accepts(o, other)
 
@@ -232,6 +231,7 @@ def test_refinement_on_the_branching_loop():
     assert letters(result.log[1].core) == "HM"
     assert result.log[2].core is None
     assert [step.model_states for step in result.log] == [1, 3, 3]
+    assert result.initial_state == ()
     # the final witness classifies each iteration as Miss,Hit,Miss,Miss
     assert letters(result.witness) == "MHMM" * 3
     assert result.wcet == trace_time(result.witness, program.durations, CacheConfig())
@@ -275,6 +275,7 @@ def test_refinement_matches_the_enumeration_oracle():
         result = run_refinement(program, config)
         assert result.wcet == oracle_unknown_init(program, config)
         assert result.wcet == trace_time(result.witness, program.durations, config)
+        assert realizable_from(result.initial_state, result.witness, config)
 
 
 def test_refinement_dominates_the_cold_start_bound():
