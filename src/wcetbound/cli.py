@@ -86,10 +86,13 @@ def _render_records(records: Iterable[Record]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_out(path: str | None, records: list[Record]) -> None:
+def _write_out(path: str | None, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_render_records(records))
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except ValueError as exc:  # a NUL byte in the path
+            raise ParseError(f"cannot write {path!r}: {exc}") from None
 
 
 def _state_token(state: CacheState) -> str:
@@ -105,6 +108,8 @@ def _core_token(core: ClassifiedTrace) -> str:
 
 
 def _config_record(config: CacheConfig, init_text: str, args) -> Record:
+    bounds = [(key, getattr(args, key)) for key in ("max_len", "max_iters")
+              if key in vars(args)]
     return (
         "config",
         [
@@ -114,8 +119,7 @@ def _config_record(config: CacheConfig, init_text: str, args) -> Record:
             ("miss_time", config.miss_time),
             ("policy", config.policy.value),
             ("init", init_text),
-            ("max_len", args.max_len),
-            ("max_iters", args.max_iters),
+            *bounds,
         ],
     )
 
@@ -330,7 +334,7 @@ def cmd_wcet(args) -> int:
                 fields.append(("core", _core_token(step.core)))
             records.append(("iteration", fields))
     records.extend(_steps_records(result.witness, program.durations, config))
-    _write_out(args.out, records)
+    _write_out(args.out, _render_records(records))
     return 0
 
 
@@ -349,8 +353,7 @@ def cmd_example(args) -> int:
     )
     text = serialize_program(program)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_out(args.out, text)
         print(
             f"wrote {args.out}: {args.iterations} iterations, "
             f"{args.branches + 1} branch choices, "
@@ -428,7 +431,7 @@ def cmd_sweep(args) -> int:
         fields.append(("wcet", wcets[0]))
         print(row + f" {wcets[0]:>8}" + marker)
         records.append(("row", fields))
-    _write_out(args.out, records)
+    _write_out(args.out, _render_records(records))
     return 0
 
 
@@ -491,7 +494,7 @@ def cmd_simulate(args) -> int:
             ],
         )
     )
-    _write_out(args.out, records)
+    _write_out(args.out, _render_records(records))
     return 0
 
 
@@ -542,7 +545,7 @@ def cmd_feasibility(args) -> int:
                 ],
             )
         )
-    _write_out(args.out, records)
+    _write_out(args.out, _render_records(records))
     return 0
 
 
@@ -561,15 +564,16 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--miss", type=int, default=20, help="fetch cycles on a miss")
     shared.add_argument("--policy", choices=["promote", "fifo"], default="promote",
                         help="promote: move hit lines to the front; fifo: never reorder")
-    shared.add_argument("--max-len", type=int, default=10_000, dest="max_len",
-                        help="longest program run to tolerate")
-    shared.add_argument("--max-iters", type=int, default=10_000, dest="max_iters",
-                        help="refinement iteration budget")
     shared.add_argument("--out", help="write a machine-readable report here")
+    max_len = argparse.ArgumentParser(add_help=False)
+    max_len.add_argument("--max-len", type=int, default=10_000, dest="max_len",
+                         help="longest program run to tolerate")
 
     p_wcet = sub.add_parser(
-        "wcet", parents=[shared], help="compute a worst-case execution time"
+        "wcet", parents=[shared, max_len], help="compute a worst-case execution time"
     )
+    p_wcet.add_argument("--max-iters", type=int, default=10_000, dest="max_iters",
+                        help="refinement iteration budget")
     p_wcet.add_argument("analysis", choices=["explicit", "abstract", "refine"])
     p_wcet.add_argument("program", help="program file")
     p_wcet.add_argument("--init", help="empty | unknown | state=<line,line,...>")
@@ -603,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_sim = sub.add_parser(
-        "simulate", parents=[shared], help="classify one access sequence"
+        "simulate", parents=[shared, max_len], help="classify one access sequence"
     )
     p_sim.add_argument("program", nargs="?", help="single-run program file")
     p_sim.add_argument("--pcs", help="comma-separated pc sequence")

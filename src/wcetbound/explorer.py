@@ -7,15 +7,22 @@ plus the witness trace attaining it.  Since the residual depends only on
 the product state, states differing in accumulated clock merge, which is
 what keeps counts far below the run count.
 
+Memo format: a product state maps to ``(time, first step, next state)`` of
+its best run, to ``(0, None, None)`` at the end location, or to None when
+no complete run leaves it.  The witness is read off this chain once.
+
 Determinism: edges are expanded in ascending (pc, destination) order and
 ties between equal-time witnesses go to the lexicographically least trace
-(per step: smaller pc first, Hit before Miss).
+(per step: smaller pc first, Hit before Miss).  Equal first steps (one pc,
+two destinations) are settled by walking both chains in lockstep to the
+first differing step, an end (the shorter trace is less) or a merge (equal
+traces: the first found stays).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .cache import (
     CacheConfig,
@@ -40,10 +47,6 @@ class ExplorationResult:
     mode: str
 
 
-def _trace_key(trace: ClassifiedTrace) -> tuple[tuple[int, Classification], ...]:
-    return tuple((a.pc, a.cls) for a in trace)
-
-
 class _Frame:
     __slots__ = ("key", "succ", "idx", "best")
 
@@ -54,31 +57,54 @@ class _Frame:
         self.best = None
 
 
+def _precedes(memo: dict, a: tuple, b: tuple) -> bool:
+    """Is the run of memo entry ``a`` less than the equal-time run of ``b``?"""
+    while True:
+        sa, sb = a[1], b[1]
+        if sa is None or sb is None:
+            return sa is None and sb is not None
+        if (sa.pc, sa.cls) != (sb.pc, sb.cls):
+            return (sa.pc, sa.cls) < (sb.pc, sb.cls)
+        if a[2] == b[2]:
+            return False
+        a, b = memo[a[2]], memo[b[2]]
+
+
 def _best_runs(
+    program: Program,
+    config: CacheConfig,
+    durations: Mapping[int, int],
     start,
-    end_loc: str,
-    expand: Callable[[object], list[tuple[ClassifiedAccess, int, object]]],
+    outcomes: Callable[[object, int], Iterable[tuple[Classification, object]]],
 ) -> tuple[tuple[int, ClassifiedTrace] | None, int]:
-    """Iterative memoized DFS over an acyclic product graph.
+    """Iterative memoized DFS over the acyclic product graph from
+    ``(program.entry, start)``.  ``outcomes(component, line)`` lists the
+    (classification, next component) choices of one access, Hit first.
 
     Returns ((max residual time, lexicographically least witness), states
-    expanded); the first component is None when no complete run exists
-    from ``start``.
+    expanded); the first component is None when no complete run exists.
     """
+    edges = ensure_bounded(program)
     memo: dict = {}
     missing = object()
-    stack = [_Frame(start)]
+    root = (program.entry, start)
+    stack = [_Frame(root)]
     while stack:
         frame = stack[-1]
         if frame.succ is None:
-            if frame.key in memo:
+            loc, comp = frame.key
+            if loc == program.end:
+                memo[frame.key] = (0, None, None)
                 stack.pop()
                 continue
-            if frame.key[0] == end_loc:
-                memo[frame.key] = (0, ())
-                stack.pop()
-                continue
-            frame.succ = expand(frame.key)
+            frame.succ = []
+            for pc, dst in edges.get(loc, ()):
+                line = config.line_of(pc)
+                for cls, nxt in outcomes(comp, line):
+                    cost = step_cost(pc, cls, durations, config).total
+                    frame.succ.append(
+                        (ClassifiedAccess(pc, line, cls), cost, (dst, nxt))
+                    )
         advanced = False
         while frame.idx < len(frame.succ):
             step, cost, nxt = frame.succ[frame.idx]
@@ -90,19 +116,26 @@ def _best_runs(
             frame.idx += 1
             if sub is None:
                 continue
-            cand = (cost + sub[0], (step,) + sub[1])
+            cand = (cost + sub[0], step, nxt)
             best = frame.best
             if (
                 best is None
                 or cand[0] > best[0]
-                or (cand[0] == best[0] and _trace_key(cand[1]) < _trace_key(best[1]))
+                or (cand[0] == best[0] and _precedes(memo, cand, best))
             ):
                 frame.best = cand
         if advanced:
             continue
         memo[frame.key] = frame.best
         stack.pop()
-    return memo[start], len(memo)
+    best = entry = memo[root]
+    if best is None:
+        return None, len(memo)
+    witness = []
+    while entry[1] is not None:
+        witness.append(entry[1])
+        entry = memo[entry[2]]
+    return (best[0], tuple(witness)), len(memo)
 
 
 def explore_explicit(
@@ -113,22 +146,13 @@ def explore_explicit(
 ) -> ExplorationResult:
     """Exact WCET over all runs from a known initial cache state."""
     validate_state(init, config)
-    edges = ensure_bounded(program)
     durs = program.durations if durations is None else durations
 
-    def expand(key):
-        loc, cache = key
-        out = []
-        for pc, dst in edges.get(loc, ()):
-            line = config.line_of(pc)
-            nxt_cache, cls = access(cache, line, config)
-            cost = step_cost(pc, cls, durs, config).total
-            out.append(
-                (ClassifiedAccess(pc, line, cls), cost, (dst, nxt_cache))
-            )
-        return out
+    def outcomes(cache, line):
+        nxt, cls = access(cache, line, config)
+        return ((cls, nxt),)
 
-    best, states = _best_runs((program.entry, tuple(init)), program.end, expand)
+    best, states = _best_runs(program, config, durs, tuple(init), outcomes)
     if best is None:
         # Unreachable: Program validation guarantees a nonempty language.
         raise AssertionError("validated program has no run")
@@ -147,7 +171,6 @@ def explore_abstract(
     dead region, so exploration steps only into live states; a run counts
     once it reaches the end location (still live by construction).
     """
-    edges = ensure_bounded(program)
     durs = program.durations if durations is None else durations
     model_lines = {sym.line for sym in model.alphabet}
     missing = {config.line_of(pc) for pc in durs} - model_lines
@@ -159,24 +182,13 @@ def explore_abstract(
     if model.initial not in live:
         raise AbstractModelEmpty("the model allows no trace at all")
 
-    def expand(key):
-        loc, q = key
-        out = []
-        for pc, dst in edges.get(loc, ()):
-            line = config.line_of(pc)
-            for cls in (Classification.HIT, Classification.MISS):
-                nxt_q = model.transitions[q][AccessSymbol(line, cls)]
-                if nxt_q not in live:
-                    continue
-                cost = step_cost(pc, cls, durs, config).total
-                out.append(
-                    (ClassifiedAccess(pc, line, cls), cost, (dst, nxt_q))
-                )
-        return out
+    def outcomes(q, line):
+        for cls in (Classification.HIT, Classification.MISS):
+            nxt = model.transitions[q][AccessSymbol(line, cls)]
+            if nxt in live:
+                yield cls, nxt
 
-    best, states = _best_runs(
-        (program.entry, model.initial), program.end, expand
-    )
+    best, states = _best_runs(program, config, durs, model.initial, outcomes)
     if best is None:
         raise AbstractModelEmpty(
             "the model allows no complete run of the program"

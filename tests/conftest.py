@@ -15,6 +15,8 @@ import random
 
 from wcetbound import (
     CacheConfig,
+    Classification,
+    ClassifiedAccess,
     ClassifiedTrace,
     Program,
     ReplacementPolicy,
@@ -146,6 +148,24 @@ def oracle_explicit(program: Program, config: CacheConfig, init=(), max_len=64):
             best = (t, trace)
     assert best is not None
     return best
+
+
+def oracle_universal_model(program: Program, config: CacheConfig, max_len=64):
+    """(wcet, witness) over every run and every hit/miss word, which is what
+    the universal classifier allows; ties as in ``oracle_explicit``."""
+    best = None
+    for seq in language_sequences(program, max_len):
+        for word in itertools.product(Classification, repeat=len(seq)):
+            trace = tuple(
+                ClassifiedAccess(pc, config.line_of(pc), cls)
+                for pc, cls in zip(seq, word)
+            )
+            t = trace_time(trace, program.durations, config)
+            key = tuple(zip(seq, word))
+            if best is None or t > best[0] or (t == best[0] and key < best[1]):
+                best = (t, key, trace)
+    assert best is not None
+    return best[0], best[2]
 
 
 def oracle_unknown_init(program: Program, config: CacheConfig, max_len=64):

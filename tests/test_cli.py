@@ -174,6 +174,7 @@ def test_wcet_explicit_with_warm_state(tmp_path, capsys):
 
 def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
     prog = write(tmp_path, "chain.prog", CHAIN_121)
+    trace = write(tmp_path, "good.trace", FEASIBLE_TRACE)
     bad = [
         [],
         ["nonsense"],
@@ -190,10 +191,25 @@ def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
         ["sweep", "--branches", "5..1"],
         ["sweep", "--modes", "turbo"],
         ["wcet", "explicit", prog, "--capacity", "0"],
+        # each bound belongs only to the subcommands that read it
+        ["sweep", "--iterations", "2", "--branches", "1", "--max-len", "1"],
+        ["sweep", "--iterations", "2", "--branches", "1", "--max-iters", "0"],
+        ["simulate", "--pcs", "1", "--max-iters", "0"],
+        ["feasibility", trace, "--max-len", "1"],
+        ["feasibility", trace, "--max-iters", "0"],
     ]
     for argv in bad:
         assert main(argv) == 1, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pcs", "1"],
+    ["example"],
+])
+def test_out_path_with_a_nul_byte_exits_one(capsys, argv):
+    assert main(argv + ["--out", "a\x00b"]) == 1
+    assert "embedded null byte" in capsys.readouterr().err
 
 
 def test_unbounded_program_exits_two(tmp_path, capsys):

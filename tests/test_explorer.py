@@ -1,13 +1,17 @@
 """Product-state exploration, explicit and abstract."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     chain_program,
     fork_program,
     oracle_explicit,
+    oracle_universal_model,
     random_config,
     random_program,
 )
@@ -19,6 +23,7 @@ from wcetbound import (
     Classification,
     ClassifierAutomaton,
     Program,
+    ReplacementPolicy,
     ValidationError,
     as_symbols,
     branching_loop_program,
@@ -136,6 +141,61 @@ def test_equal_cost_ties_prefer_smaller_pc():
     )
     res = explore_explicit(program, CacheConfig())
     assert [a.pc for a in res.witness] == [1, 3]
+
+
+def test_equal_first_steps_compare_the_rest_of_the_run():
+    # pc 1 leads to B and to C at equal cost; the run through B is found
+    # first, but 1.2 is the lesser trace
+    program = Program.build(
+        "fork1", "A", "D",
+        [("A", 1, "B"), ("A", 1, "C"), ("B", 3, "D"), ("C", 2, "D")],
+    )
+    config = CacheConfig()
+    for res in (
+        explore_explicit(program, config),
+        explore_abstract(program, hit_or_miss(program.lines(config)), config),
+    ):
+        assert [a.pc for a in res.witness] == [1, 2]
+
+
+@st.composite
+def same_pc_forks(draw) -> Program:
+    """A chain of forks whose branches all open with the same pc."""
+    fresh = itertools.count(1)
+    edges, cur = [], "L0"
+    for _ in range(draw(st.integers(1, 3))):
+        join, first = f"L{next(fresh)}", draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(2, 3))):
+            pcs = [first, *draw(st.lists(st.integers(1, 3), max_size=1))]
+            prev = cur
+            for i, pc in enumerate(pcs):
+                nxt = join if i == len(pcs) - 1 else f"L{next(fresh)}"
+                edges.append((prev, pc, nxt))
+                prev = nxt
+        cur = join
+    durations = {pc: draw(st.integers(0, 2)) for pc in {pc for _, pc, _ in edges}}
+    return Program.build("forks", "L0", cur, edges, durations)
+
+
+small_configs = st.builds(
+    lambda capacity, hit, extra, policy: CacheConfig(
+        capacity=capacity, hit_time=hit, miss_time=hit + extra, policy=policy
+    ),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(0, 3),  # 0: hits and misses cost the same
+    st.sampled_from(list(ReplacementPolicy)),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(same_pc_forks(), small_configs)
+def test_same_pc_forks_match_the_enumeration_oracles(program, config):
+    explicit = explore_explicit(program, config)
+    assert (explicit.wcet, explicit.witness) == oracle_explicit(program, config)
+    model = hit_or_miss(program.lines(config))
+    abstract = explore_abstract(program, model, config)
+    assert (abstract.wcet, abstract.witness) == oracle_universal_model(program, config)
 
 
 def test_equal_cost_ties_prefer_hit_over_miss():
