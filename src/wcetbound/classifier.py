@@ -8,6 +8,11 @@ state from which no accepting state is reachable), i.e. when the trace can
 still be extended to an accepted word.  Abstract cache models are exactly
 such automata.
 
+An automaton is a plain table.  Its alphabet is a sorted tuple of distinct
+symbols, and row ``transitions[q]`` is a tuple of ints whose column i holds
+the successor of state q on ``alphabet[i]``.  Only this module reads the
+table; other code steps an automaton through ``ClassifierAutomaton.step``.
+
 Constructors: the universal model ``hit_or_miss``, classification-only
 ``from_pattern`` expressions like ``(M.H.M.M)*``, the contains-infix
 language ``infix_language``, and the ``parse_model`` file format.  The
@@ -18,6 +23,7 @@ refinement rules out behaviours no real cache exhibits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .cache import Classification, ClassifiedAccess
@@ -39,15 +45,16 @@ class AccessSymbol:
 class ClassifierAutomaton:
     """Complete DFA over AccessSymbols.  States are 0..n-1.
 
-    ``transitions[q]`` maps every alphabet symbol to the successor of q.
-    Identity equality only; language comparison goes through
-    ``same_language``.
+    ``alphabet`` is sorted and holds no symbol twice.  ``transitions[q]``
+    is a tuple with one int per alphabet symbol: column i holds the
+    successor of q on ``alphabet[i]``.  Identity equality only; language
+    comparison goes through ``same_language``.
     """
 
     alphabet: tuple[AccessSymbol, ...]
     initial: int
     accepting: frozenset[int]
-    transitions: tuple[dict[AccessSymbol, int], ...]
+    transitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.transitions)
@@ -55,26 +62,32 @@ class ClassifierAutomaton:
             raise ValidationError("initial state out of range")
         if not all(0 <= q < n for q in self.accepting):
             raise ValidationError("accepting state out of range")
-        alpha = set(self.alphabet)
+        alphabet = self.alphabet
+        if any(a >= b for a, b in zip(alphabet, alphabet[1:])):
+            raise ValidationError("alphabet must be sorted, without duplicates")
         for q, row in enumerate(self.transitions):
-            if set(row) != alpha:
+            if len(row) != len(alphabet):
                 raise ValidationError(
                     f"state {q} is not complete over the alphabet"
                 )
-            if not all(0 <= r < n for r in row.values()):
+            if not all(0 <= r < n for r in row):
                 raise ValidationError(f"state {q} has a dangling transition")
 
     @property
     def n_states(self) -> int:
         return len(self.transitions)
 
+    @cached_property
+    def _column(self) -> dict[AccessSymbol, int]:
+        return {sym: i for i, sym in enumerate(self.alphabet)}
+
     def step(self, state: int, symbol: AccessSymbol) -> int:
-        try:
-            return self.transitions[state][symbol]
-        except KeyError:
+        column = self._column.get(symbol)
+        if column is None:
             raise AlphabetMismatch(
                 f"symbol {symbol} is not in the automaton's alphabet"
-            ) from None
+            )
+        return self.transitions[state][column]
 
     def run(self, symbols: Iterable[AccessSymbol]) -> int:
         state = self.initial
@@ -86,7 +99,7 @@ class ClassifierAutomaton:
         """States from which some accepting state is reachable."""
         pred: dict[int, set[int]] = {q: set() for q in range(self.n_states)}
         for q, row in enumerate(self.transitions):
-            for nxt in row.values():
+            for nxt in row:
                 pred[nxt].add(q)
         live = set(self.accepting)
         todo = list(live)
@@ -144,37 +157,31 @@ def allows(
 def _check_same_alphabet(
     a: ClassifierAutomaton, b: ClassifierAutomaton
 ) -> tuple[AccessSymbol, ...]:
-    if set(a.alphabet) != set(b.alphabet):
+    if a.alphabet != b.alphabet:
+        differ = sorted(set(a.alphabet) ^ set(b.alphabet))
         raise AlphabetMismatch(
             "operations need identical alphabets: "
-            f"{sorted(set(a.alphabet) ^ set(b.alphabet))} differ"
+            f"{' '.join(map(str, differ))} differ"
         )
     return a.alphabet
 
 
-def _alphabet(
-    lines_or_alphabet: Iterable[int | AccessSymbol],
-) -> tuple[AccessSymbol, ...]:
-    """The sorted alphabet given as symbols, or both classifications of
-    each given line."""
-    items = list(lines_or_alphabet)
-    if items and isinstance(items[0], AccessSymbol):
-        alphabet = tuple(sorted(set(items)))  # type: ignore[arg-type]
-    else:
-        alphabet = full_alphabet(items)  # type: ignore[arg-type]
+def _alphabet(lines: Iterable[int]) -> tuple[AccessSymbol, ...]:
+    """Both classifications of each given line, sorted; never empty."""
+    alphabet = full_alphabet(lines)
     if not alphabet:
         raise ValidationError("alphabet must be nonempty")
     return alphabet
 
 
-def hit_or_miss(lines_or_alphabet: Iterable[int | AccessSymbol]) -> ClassifierAutomaton:
+def hit_or_miss(lines: Iterable[int]) -> ClassifierAutomaton:
     """The universal model: every classification of every line is allowed."""
-    alphabet = _alphabet(lines_or_alphabet)
+    alphabet = _alphabet(lines)
     return ClassifierAutomaton(
         alphabet=alphabet,
         initial=0,
         accepting=frozenset({0}),
-        transitions=({sym: 0 for sym in alphabet},),
+        transitions=((0,) * len(alphabet),),
     )
 
 
@@ -191,21 +198,19 @@ def intersect(
     a: ClassifierAutomaton, b: ClassifierAutomaton
 ) -> ClassifierAutomaton:
     """Product construction, restricted to reachable pairs."""
-    alphabet = _check_same_alphabet(a, b)
-    order = tuple(sorted(alphabet))
+    _check_same_alphabet(a, b)
     start = (a.initial, b.initial)
     index: dict[tuple[int, int], int] = {start: 0}
-    rows: list[dict[AccessSymbol, int]] = []
+    rows: list[tuple[int, ...]] = []
     pairs = [start]
     for qa, qb in pairs:
-        row: dict[AccessSymbol, int] = {}
-        for sym in order:
-            nxt = (a.transitions[qa][sym], b.transitions[qb][sym])
+        row = []
+        for nxt in zip(a.transitions[qa], b.transitions[qb]):
             if nxt not in index:
                 index[nxt] = len(index)
                 pairs.append(nxt)
-            row[sym] = index[nxt]
-        rows.append(row)
+            row.append(index[nxt])
+        rows.append(tuple(row))
     accepting = frozenset(
         i for (qa, qb), i in index.items()
         if qa in a.accepting and qb in b.accepting
@@ -222,35 +227,34 @@ def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
     """Language-preserving minimization with canonical state numbering.
 
     Moore partition refinement over the reachable part, then a BFS renumber
-    over the sorted alphabet, so equal-language minimal automata come out
+    in column order, so equal-language minimal automata come out
     structurally identical.
     """
-    order = tuple(sorted(a.alphabet))
+    table = a.transitions
     # Reachable restriction.
     reach = [a.initial]
     seen = {a.initial}
     for q in reach:
-        for sym in order:
-            nxt = a.transitions[q][sym]
+        for nxt in table[q]:
             if nxt not in seen:
                 seen.add(nxt)
                 reach.append(nxt)
     block = {q: (0 if q in a.accepting else 1) for q in reach}
+    n_blocks = len(set(block.values()))
     while True:
-        signature = {
-            q: (block[q], tuple(block[a.transitions[q][sym]] for sym in order))
+        # A signature holds the state's own block, so each round only
+        # splits blocks: the partition is stable once the count stops.
+        ids: dict[tuple, int] = {}
+        new_block = {
+            q: ids.setdefault(
+                (block[q], tuple([block[r] for r in table[q]])), len(ids)
+            )
             for q in reach
         }
-        renumber: dict[tuple, int] = {}
-        new_block = {}
-        for q in reach:
-            sig = signature[q]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            new_block[q] = renumber[sig]
-        if new_block == block:
-            break
         block = new_block
+        if len(ids) == n_blocks:
+            break
+        n_blocks = len(ids)
     # Quotient, renumbered by BFS from the initial block.
     repr_of_block: dict[int, int] = {}
     for q in reach:
@@ -258,26 +262,23 @@ def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
     bfs_index: dict[int, int] = {block[a.initial]: 0}
     bfs = [block[a.initial]]
     for blk in bfs:
-        q = repr_of_block[blk]
-        for sym in order:
-            nb = block[a.transitions[q][sym]]
+        for r in table[repr_of_block[blk]]:
+            nb = block[r]
             if nb not in bfs_index:
                 bfs_index[nb] = len(bfs_index)
                 bfs.append(nb)
-    rows = []
-    accepting = set()
-    for blk in bfs:
-        q = repr_of_block[blk]
-        rows.append(
-            {sym: bfs_index[block[a.transitions[q][sym]]] for sym in order}
-        )
-        if q in a.accepting:
-            accepting.add(bfs_index[blk])
+    rows = tuple(
+        tuple([bfs_index[block[r]] for r in table[repr_of_block[blk]]])
+        for blk in bfs
+    )
+    accepting = frozenset(
+        i for i, blk in enumerate(bfs) if repr_of_block[blk] in a.accepting
+    )
     return ClassifierAutomaton(
         alphabet=a.alphabet,
         initial=0,
-        accepting=frozenset(accepting),
-        transitions=tuple(rows),
+        accepting=accepting,
+        transitions=rows,
     )
 
 
@@ -311,29 +312,31 @@ def infix_language(
     if not syms:
         raise ValidationError("core must be nonempty")
     alpha = tuple(sorted(set(alphabet)))
-    missing = set(syms) - set(alpha)
+    column = {sym: i for i, sym in enumerate(alpha)}
+    missing = sorted(set(syms) - column.keys())
     if missing:
         raise AlphabetMismatch(
-            f"core symbols {sorted(missing)} are outside the alphabet"
+            f"core symbols {' '.join(map(str, missing))} are outside the alphabet"
         )
+    cols = [column[sym] for sym in syms]
     m = len(syms)
-    rows = [{sym: 0 for sym in alpha}]
-    rows[0][syms[0]] = 1
+    rows = [[0] * len(alpha)]
+    rows[0][cols[0]] = 1
     # ``border`` is the state the automaton reaches on syms[1:q], i.e. the
     # longest proper border of syms[:q]; off the core, state q behaves as
     # that strictly smaller, already built state does.
     border = 0
     for q in range(1, m):
-        row = dict(rows[border])
-        row[syms[q]] = q + 1
+        row = list(rows[border])
+        row[cols[q]] = q + 1
         rows.append(row)
-        border = rows[border][syms[q]]
-    rows.append({sym: m for sym in alpha})
+        border = rows[border][cols[q]]
+    rows.append([m] * len(alpha))
     return ClassifierAutomaton(
         alphabet=alpha,
         initial=0,
         accepting=frozenset({m}),
-        transitions=tuple(rows),
+        transitions=tuple(map(tuple, rows)),
     )
 
 
@@ -398,9 +401,7 @@ def _parse_pattern(pattern: str):
     return ast
 
 
-def from_pattern(
-    pattern: str, lines_or_alphabet: Iterable[int | AccessSymbol]
-) -> ClassifierAutomaton:
+def from_pattern(pattern: str, lines: Iterable[int]) -> ClassifierAutomaton:
     """Compile a classification-only pattern over the given lines.
 
     The pattern constrains hit/miss letters only; any line may carry each
@@ -408,7 +409,7 @@ def from_pattern(
     postfix '*'.  The empty pattern accepts only the empty trace, whose
     prefix lens then allows nothing but the empty trace.
     """
-    alphabet = _alphabet(lines_or_alphabet)
+    alphabet = _alphabet(lines)
     ast = _parse_pattern(pattern)
 
     # Thompson construction over the two classification letters.
@@ -453,14 +454,14 @@ def from_pattern(
                     todo.append(nxt)
         return frozenset(out)
 
-    letters = (Classification.HIT, Classification.MISS)
     start_set = closure(frozenset({start}))
     index: dict[frozenset[int], int] = {start_set: 0}
-    letter_rows: list[dict[Classification, int]] = []
+    # Row of the two-letter DFA: (successor on H, successor on M).
+    letter_rows: list[tuple[int, ...]] = []
     subsets = [start_set]
     for current in subsets:
-        row: dict[Classification, int] = {}
-        for letter in letters:
+        row = []
+        for letter in (Classification.HIT, Classification.MISS):
             moved = frozenset(
                 t for q in current for (c, t) in nfa_sym[q] if c == letter
             )
@@ -468,15 +469,15 @@ def from_pattern(
             if nxt not in index:
                 index[nxt] = len(index)
                 subsets.append(nxt)
-            row[letter] = index[nxt]
-        letter_rows.append(row)
+            row.append(index[nxt])
+        letter_rows.append(tuple(row))
     accepting = frozenset(
         i for subset, i in index.items() if accept in subset
     )
     # Lift the two-letter DFA to the full symbol alphabet: lines are
     # indistinguishable to a pattern.
     rows = tuple(
-        {sym: row[sym.cls] for sym in alphabet} for row in letter_rows
+        tuple(row[sym.cls] for sym in alphabet) for row in letter_rows
     )
     return minimize(
         ClassifierAutomaton(
@@ -531,7 +532,7 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
     for the same state and symbol are rejected: models are deterministic.
     """
     line_list = list(lines) if lines is not None else None
-    alphabet: list[AccessSymbol] | None = None
+    alphabet: set[AccessSymbol] | None = None
     names: dict[str, int] = {}
     accepting_names: set[str] = set()
     initial_name: str | None = None
@@ -548,9 +549,9 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
                 raise ParseError("duplicate alphabet directive", line_no)
             if not args:
                 raise ParseError("alphabet must list at least one symbol", line_no)
-            alphabet = []
+            alphabet = set()
             for token in args:
-                alphabet.extend(_parse_symbol_token(token, line_no, line_list))
+                alphabet.update(_parse_symbol_token(token, line_no, line_list))
         elif directive == "state":
             if not args or len(args) > 2:
                 raise ParseError("state takes <name> [accepting]", line_no)
@@ -574,7 +575,7 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
             if alphabet is None:
                 raise ParseError("trans before alphabet directive", line_no)
             for sym in _parse_symbol_token(token, line_no, line_list):
-                if sym not in set(alphabet):
+                if sym not in alphabet:
                     raise ParseError(
                         f"symbol {sym} is not in the declared alphabet", line_no
                     )
@@ -600,17 +601,13 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
             if loc not in names:
                 raise ValidationError(f"transition uses undeclared state {loc!r}")
 
-    alpha = tuple(sorted(set(alphabet)))
+    alpha = tuple(sorted(alphabet))
     sink = len(names)
-    rows: list[dict[AccessSymbol, int]] = []
-    for name, _ in sorted(names.items(), key=lambda item: item[1]):
-        rows.append(
-            {
-                sym: names.get(trans.get((name, sym), ""), sink)
-                for sym in alpha
-            }
-        )
-    rows.append({sym: sink for sym in alpha})
+    rows = [
+        tuple(names.get(trans.get((name, sym), ""), sink) for sym in alpha)
+        for name in names
+    ]
+    rows.append((sink,) * len(alpha))
     return ClassifierAutomaton(
         alphabet=alpha,
         initial=names[initial_name],

@@ -22,7 +22,7 @@ traces: the first found stays).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .cache import (
     CacheConfig,
@@ -33,7 +33,7 @@ from .cache import (
     access,
     validate_state,
 )
-from .classifier import AccessSymbol, ClassifierAutomaton
+from .classifier import AccessSymbol, ClassifierAutomaton, full_alphabet
 from .errors import AbstractModelEmpty, AlphabetMismatch
 from .program import Program, ensure_bounded
 from .timing import step_cost
@@ -73,7 +73,6 @@ def _precedes(memo: dict, a: tuple, b: tuple) -> bool:
 def _best_runs(
     program: Program,
     config: CacheConfig,
-    durations: Mapping[int, int],
     start,
     outcomes: Callable[[object, int], Iterable[tuple[Classification, object]]],
 ) -> tuple[tuple[int, ClassifiedTrace] | None, int]:
@@ -85,6 +84,7 @@ def _best_runs(
     expanded); the first component is None when no complete run exists.
     """
     edges = ensure_bounded(program)
+    durations = program.durations
     memo: dict = {}
     missing = object()
     root = (program.entry, start)
@@ -142,17 +142,15 @@ def explore_explicit(
     program: Program,
     config: CacheConfig,
     init: CacheState = (),
-    durations: Mapping[int, int] | None = None,
 ) -> ExplorationResult:
     """Exact WCET over all runs from a known initial cache state."""
     validate_state(init, config)
-    durs = program.durations if durations is None else durations
 
     def outcomes(cache, line):
         nxt, cls = access(cache, line, config)
         return ((cls, nxt),)
 
-    best, states = _best_runs(program, config, durs, tuple(init), outcomes)
+    best, states = _best_runs(program, config, tuple(init), outcomes)
     if best is None:
         # Unreachable: Program validation guarantees a nonempty language.
         raise AssertionError("validated program has no run")
@@ -163,7 +161,6 @@ def explore_abstract(
     program: Program,
     model: ClassifierAutomaton,
     config: CacheConfig,
-    durations: Mapping[int, int] | None = None,
 ) -> ExplorationResult:
     """Exact WCET over all runs and all classifications the model allows.
 
@@ -171,12 +168,11 @@ def explore_abstract(
     dead region, so exploration steps only into live states; a run counts
     once it reaches the end location (still live by construction).
     """
-    durs = program.durations if durations is None else durations
-    model_lines = {sym.line for sym in model.alphabet}
-    missing = {config.line_of(pc) for pc in durs} - model_lines
+    missing = set(full_alphabet(program.lines(config))) - set(model.alphabet)
     if missing:
         raise AlphabetMismatch(
-            f"model alphabet lacks program lines {sorted(missing)}"
+            "model alphabet lacks program symbols "
+            + " ".join(map(str, sorted(missing)))
         )
     live = model.live_states()
     if model.initial not in live:
@@ -184,11 +180,11 @@ def explore_abstract(
 
     def outcomes(q, line):
         for cls in (Classification.HIT, Classification.MISS):
-            nxt = model.transitions[q][AccessSymbol(line, cls)]
+            nxt = model.step(q, AccessSymbol(line, cls))
             if nxt in live:
                 yield cls, nxt
 
-    best, states = _best_runs(program, config, durs, model.initial, outcomes)
+    best, states = _best_runs(program, config, model.initial, outcomes)
     if best is None:
         raise AbstractModelEmpty(
             "the model allows no complete run of the program"

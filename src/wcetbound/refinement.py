@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .cache import (
     CacheConfig,
@@ -29,12 +29,7 @@ from .cache import (
     ClassifiedTrace,
     access,
 )
-from .classifier import (
-    full_alphabet,
-    hit_or_miss,
-    infix_language,
-    subtract,
-)
+from .classifier import hit_or_miss, infix_language, subtract
 from .errors import IterationBudgetExceeded, ValidationError
 from .explorer import explore_abstract
 from .program import Program
@@ -133,7 +128,6 @@ def infeasible_core(
 def run_refinement(
     program: Program,
     config: CacheConfig,
-    durations: Mapping[int, int] | None = None,
     max_iters: int = 10_000,
 ) -> RefinementResult:
     """Iterate explore / check / exclude until the worst witness is real.
@@ -147,13 +141,11 @@ def run_refinement(
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-    durs = program.durations if durations is None else durations
-    lines = sorted({config.line_of(pc) for pc in durs})
-    alphabet = full_alphabet(lines)
-    model = hit_or_miss(alphabet)
+    model = hit_or_miss(program.lines(config))
+    alphabet = model.alphabet
     log: list[RefinementStep] = []
     for index in range(1, max_iters + 1):
-        result = explore_abstract(program, model, config, durations=durs)
+        result = explore_abstract(program, model, config)
         verdict = is_feasible_from_some_state(result.witness, config)
         if verdict.feasible:
             log.append(
@@ -162,7 +154,7 @@ def run_refinement(
                     model.n_states,
                 )
             )
-            assert result.wcet == trace_time(result.witness, durs, config)
+            assert result.wcet == trace_time(result.witness, program.durations, config)
             return RefinementResult(
                 result.wcet, result.witness, tuple(log), verdict.initial_state
             )

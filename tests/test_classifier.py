@@ -3,7 +3,8 @@
 Pattern membership is cross-checked against Python's re module: the
 pattern grammar maps onto regular expressions by dropping the explicit
 concatenation dots, which gives an oracle that shares no code with the
-Thompson/subset construction under test.
+Thompson/subset construction under test.  The boolean operations are
+cross-checked on random complete DFAs against a walk of the drawn table.
 """
 
 import itertools
@@ -11,12 +12,16 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcetbound import (
     AccessSymbol,
     AlphabetMismatch,
     Classification,
+    ClassifierAutomaton,
     PatternParseError,
+    ValidationError,
     accepts,
     allows,
     complement,
@@ -189,7 +194,7 @@ def test_removing_an_infix_closure_kills_exactly_the_matching_region():
 
 
 def test_infix_core_must_use_the_alphabet():
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(AlphabetMismatch, match="core symbols 9:M are outside"):
         infix_language((sym(9, "M"),), full_alphabet(LINES))
 
 
@@ -207,12 +212,70 @@ def test_minimize_preserves_language_and_is_idempotent():
 def test_operations_demand_matching_alphabets():
     a = hit_or_miss((1, 2))
     b = hit_or_miss((1, 3))
-    with pytest.raises(AlphabetMismatch):
+    with pytest.raises(AlphabetMismatch, match="2:H 2:M 3:H 3:M differ"):
         subtract(a, b)
     with pytest.raises(AlphabetMismatch):
         intersect(a, b)
     with pytest.raises(AlphabetMismatch):
         a.step(a.initial, sym(9, "M"))
+
+
+@pytest.mark.parametrize("alphabet, rows", [
+    ((sym(1, "M"), sym(1, "H")), ((0, 0),)),  # unsorted alphabet
+    ((sym(1, "H"), sym(1, "H")), ((0, 0),)),  # duplicated symbol
+    ((sym(1, "H"), sym(1, "M")), ((0,),)),  # short row
+    ((sym(1, "H"), sym(1, "M")), ((0, 1),)),  # successor out of range
+])
+def test_table_format_is_checked(alphabet, rows):
+    with pytest.raises(ValidationError):
+        ClassifierAutomaton(
+            alphabet=alphabet, initial=0, accepting=frozenset({0}),
+            transitions=rows,
+        )
+
+
+ALPHABET_12 = tuple(AccessSymbol(line, cls) for line in LINES for cls in (H, M))
+
+
+@st.composite
+def dfa_tables(draw):
+    """(table, initial, accepting): ``table[q][symbol]`` is q's successor."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    table = [{s: draw(state) for s in ALPHABET_12} for _ in range(n)]
+    return table, draw(state), frozenset(draw(st.sets(state)))
+
+
+def table_accepts(dfa, word) -> bool:
+    table, q, accepting = dfa
+    for s in word:
+        q = table[q][s]
+    return q in accepting
+
+
+def automaton_of(dfa) -> ClassifierAutomaton:
+    table, initial, accepting = dfa
+    return ClassifierAutomaton(
+        alphabet=ALPHABET_12,
+        initial=initial,
+        accepting=accepting,
+        transitions=tuple(tuple(row[s] for s in ALPHABET_12) for row in table),
+    )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(dfa_tables(), dfa_tables())
+def test_operations_match_a_walk_of_the_drawn_tables(da, db):
+    a, b = automaton_of(da), automaton_of(db)
+    not_a, both, a_not_b, min_a = (
+        complement(a), intersect(a, b), subtract(a, b), minimize(a)
+    )
+    for word in words_up_to(ALPHABET_12, 5):
+        in_a, in_b = table_accepts(da, word), table_accepts(db, word)
+        assert accepts(not_a, word) == (not in_a)
+        assert accepts(both, word) == (in_a and in_b)
+        assert accepts(a_not_b, word) == (in_a and not in_b)
+        assert accepts(min_a, word) == in_a
 
 
 MODEL_TEXT = """
@@ -264,7 +327,7 @@ trans s0 1:H s0
 
 
 def test_parse_model_errors():
-    from wcetbound import ParseError, ValidationError
+    from wcetbound import ParseError
 
     bad = [
         "alphabet 1:H 1:M\nstate s\nstate s\ninitial s\n",  # duplicate state

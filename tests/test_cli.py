@@ -50,6 +50,13 @@ pc=3 cls=M
 pc=1 cls=H
 """
 
+MISSES_ONLY_MODEL = """\
+alphabet *:M
+state s accepting
+initial s
+trans s *:M s
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -175,6 +182,7 @@ def test_wcet_explicit_with_warm_state(tmp_path, capsys):
 def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
     prog = write(tmp_path, "chain.prog", CHAIN_121)
     trace = write(tmp_path, "good.trace", FEASIBLE_TRACE)
+    misses = write(tmp_path, "misses.model", MISSES_ONLY_MODEL)
     bad = [
         [],
         ["nonsense"],
@@ -183,6 +191,7 @@ def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
         ["wcet", "explicit", prog, "--pattern", "M*"],
         ["wcet", "abstract", prog],  # needs --pattern or --model
         ["wcet", "abstract", prog, "--pattern", "(M"],
+        ["wcet", "abstract", prog, "--model", misses],  # no H symbols
         ["wcet", "abstract", prog, "--pattern", "M*", "--init", "state=1"],
         ["wcet", "refine", prog, "--init", "state=1,1"],  # duplicate line
         ["simulate"],

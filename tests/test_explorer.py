@@ -34,6 +34,7 @@ from wcetbound import (
     full_alphabet,
     hit_or_miss,
     language_sequences,
+    parse_model,
     simulate,
     trace_time,
 )
@@ -55,9 +56,9 @@ def trie_automaton(words, alphabet) -> ClassifierAutomaton:
                 order.append(prefix)
     sink = len(order)
     rows = [
-        {s: index.get(prefix + (s,), sink) for s in alphabet} for prefix in order
+        tuple(index.get(prefix + (s,), sink) for s in alphabet) for prefix in order
     ]
-    rows.append({s: sink for s in alphabet})
+    rows.append((sink,) * len(alphabet))
     return ClassifierAutomaton(
         alphabet=alphabet,
         initial=0,
@@ -120,10 +121,9 @@ def test_given_initial_state_changes_the_answer():
 
 
 def test_duration_override_parameter():
-    program = chain_program([1, 2])
     config = CacheConfig(hit_time=1, miss_time=5)
-    base = explore_explicit(program, config)
-    bumped = explore_explicit(program, config, durations={1: 10, 2: 1})
+    base = explore_explicit(chain_program([1, 2]), config)
+    bumped = explore_explicit(chain_program([1, 2], durations={1: 10, 2: 1}), config)
     assert bumped.wcet == base.wcet + 9
 
 
@@ -273,6 +273,13 @@ def test_model_alphabet_must_cover_program_lines():
     program, config = fork_program()
     with pytest.raises(AlphabetMismatch):
         explore_abstract(program, hit_or_miss((1,)), config)
+    # every line is present, but only with its Miss symbol
+    lines = program.lines(config)
+    misses = parse_model(
+        "alphabet *:M\nstate s accepting\ninitial s\ntrans s *:M s\n", lines
+    )
+    with pytest.raises(AlphabetMismatch, match=f"{lines[0]}:H"):
+        explore_abstract(program, misses, config)
 
 
 def test_unbounded_program_is_rejected():

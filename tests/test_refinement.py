@@ -314,5 +314,7 @@ def test_iteration_budget():
 def test_refinement_duration_override():
     program = chain_program([1, 2, 1])
     base = run_refinement(program, CacheConfig())
-    heavy = run_refinement(program, CacheConfig(), durations={1: 5, 2: 1})
+    heavy = run_refinement(
+        chain_program([1, 2, 1], durations={1: 5, 2: 1}), CacheConfig()
+    )
     assert heavy.wcet == base.wcet + 2 * 4  # pc 1 runs twice, 4 cycles longer
