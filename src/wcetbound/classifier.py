@@ -166,17 +166,9 @@ def _check_same_alphabet(
     return a.alphabet
 
 
-def _alphabet(lines: Iterable[int]) -> tuple[AccessSymbol, ...]:
-    """Both classifications of each given line, sorted; never empty."""
-    alphabet = full_alphabet(lines)
-    if not alphabet:
-        raise ValidationError("alphabet must be nonempty")
-    return alphabet
-
-
 def hit_or_miss(lines: Iterable[int]) -> ClassifierAutomaton:
     """The universal model: every classification of every line is allowed."""
-    alphabet = _alphabet(lines)
+    alphabet = full_alphabet(lines)
     return ClassifierAutomaton(
         alphabet=alphabet,
         initial=0,
@@ -409,7 +401,7 @@ def from_pattern(pattern: str, lines: Iterable[int]) -> ClassifierAutomaton:
     postfix '*'.  The empty pattern accepts only the empty trace, whose
     prefix lens then allows nothing but the empty trace.
     """
-    alphabet = _alphabet(lines)
+    alphabet = full_alphabet(lines)
     ast = _parse_pattern(pattern)
 
     # Thompson construction over the two classification letters.

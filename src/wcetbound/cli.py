@@ -12,12 +12,15 @@ exceeded.
 Besides the human-readable report on stdout, every subcommand can write a
 machine-readable report with ``--out``: line-oriented ``record key=value``
 rows, fully deterministic (sorted, no timestamps), documented in the
-README.
+README.  Each subcommand computes every reported value once, prints its
+human line and appends its record from that one value, and returns the
+records; ``main`` writes them.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from typing import Iterable, Sequence
@@ -41,7 +44,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .explorer import ExplorationResult, explore_abstract, explore_explicit
+from .explorer import explore_abstract, explore_explicit
 from .program import (
     Program,
     branching_loop_program,
@@ -52,7 +55,6 @@ from .program import (
     serialize_program,
 )
 from .refinement import (
-    RefinementResult,
     is_feasible_from_some_state,
     infeasible_core,
     realizable_from,
@@ -61,6 +63,10 @@ from .refinement import (
 from .timing import step_cost
 
 Record = tuple[str, list[tuple[str, object]]]
+
+# ``example`` prints a run count with more digits than this as a power.  It
+# stays below 640, the lowest limit Python may set on int-to-decimal conversion.
+_RUN_COUNT_DIGITS = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +77,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class _NonNegative(argparse.Action):
+    """Stores an int option, rejecting a negative value as a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            parser.error(f"argument {option_string}: must be >= 0, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _render_records(records: Iterable[Record]) -> str:
@@ -134,30 +149,25 @@ def _config_from_args(args) -> CacheConfig:
     )
 
 
-def _parse_init(text: str | None, default: str) -> tuple[str, CacheState | None]:
-    """Returns (kind, state): kind in {empty, unknown, state}."""
-    if text is None:
-        text = default
+def _parse_init(text: str) -> CacheState | None:
+    """The cache state an ``--init`` value names; None for unknown."""
     if text == "empty":
-        return "empty", ()
+        return ()
     if text == "unknown":
-        return "unknown", None
+        return None
     if text.startswith("state="):
         body = text[len("state="):]
         try:
-            state = tuple(int(tok) for tok in body.split(",") if tok != "")
+            return tuple(int(tok) for tok in body.split(",") if tok != "")
         except ValueError:
             raise ValidationError(f"bad --init line list: {body!r}") from None
-        return "state", state
     raise ValidationError(
         f"--init must be empty, unknown, or state=<lines>, got {text!r}"
     )
 
 
-def _init_token(kind: str, state: CacheState | None) -> str:
-    if kind == "unknown":
-        return "unknown"
-    return _state_token(state or ())
+def _init_token(state: CacheState | None) -> str:
+    return "unknown" if state is None else _state_token(state)
 
 
 def parse_trace_text(text: str, config: CacheConfig) -> ClassifiedTrace:
@@ -231,14 +241,14 @@ def _steps_records(
     return records
 
 
-def cmd_wcet(args) -> int:
+def cmd_wcet(args) -> list[Record]:
     config = _config_from_args(args)
     program = parse_program(_read_file(args.program))
     default_init = "unknown" if args.analysis == "refine" else "empty"
-    init_kind, init_state = _parse_init(args.init, default_init)
-    if init_state:
-        validate_state(init_state, config)
-    if args.analysis in ("explicit", "abstract") and init_kind == "unknown":
+    init = _parse_init(default_init if args.init is None else args.init)
+    if init:
+        validate_state(init, config)
+    if args.analysis in ("explicit", "abstract") and init is None:
         raise ValidationError(
             "--init unknown needs the refine analysis; explicit and abstract "
             "modes analyze a known initial state"
@@ -249,7 +259,7 @@ def cmd_wcet(args) -> int:
         )
 
     if args.analysis == "abstract":
-        if init_state not in (None, ()):
+        if init:
             raise ValidationError(
                 "abstract mode ignores cache contents; --init state=... "
                 "is not meaningful here"
@@ -259,19 +269,12 @@ def cmd_wcet(args) -> int:
         raise BoundExceeded(f"a run longer than max_len={args.max_len} exists")
 
     started = time.perf_counter()
-    refinement: RefinementResult | None = None
     if args.analysis == "explicit":
-        result = explore_explicit(program, config, init=init_state or ())
+        result = explore_explicit(program, config, init=init)
     elif args.analysis == "abstract":
         result = explore_abstract(program, model, config)
     else:
-        refinement = run_refinement(program, config, max_iters=args.max_iters)
-        result = ExplorationResult(
-            refinement.wcet,
-            refinement.witness,
-            refinement.log[-1].model_states,
-            "refine",
-        )
+        result = run_refinement(program, config, max_iters=args.max_iters)
     elapsed = time.perf_counter() - started
 
     print(f"program: {program.name} ({args.program})")
@@ -281,50 +284,22 @@ def cmd_wcet(args) -> int:
         f"hit={config.hit_time} miss={config.miss_time} "
         f"policy={config.policy.value}"
     )
-    print(f"init: {_init_token(init_kind, init_state)}")
+    init_token = _init_token(init)
+    print(f"init: {init_token}")
     print(f"wcet: {result.wcet} cycles")
     print(f"witness ({len(result.witness)} steps): {_witness_text(result.witness)}")
-    records: list[Record] = [
-        ("run", [("command", "wcet"), ("mode", args.analysis), ("program", program.name)]),
-        _config_record(config, _init_token(init_kind, init_state), args),
-    ]
     result_fields: list[tuple[str, object]] = [
         ("wcet", result.wcet),
         ("witness_len", len(result.witness)),
     ]
-    if refinement is None:
+    iterations: list[Record] = []
+    if args.analysis != "refine":
         print(f"states explored: {result.states_explored}")
         result_fields.append(("states_explored", result.states_explored))
     else:
-        print(f"iterations: {len(refinement.log)}")
-        for step in refinement.log:
-            line = (
-                f"  iter {step.index}: wcet={step.wcet} "
-                f"witness_len={len(step.witness)} "
-                f"feasible={'yes' if step.feasible else 'no'} "
-                f"model_states={step.model_states}"
-            )
-            if step.core is not None:
-                line += f" core={_core_token(step.core)}"
-            print(line)
-        print(f"witness initial state: {_state_token(refinement.initial_state)}")
-        result_fields.append(("iterations", len(refinement.log)))
-        result_fields.append(
-            ("witness_initial", _state_token(refinement.initial_state))
-        )
-        if init_kind != "unknown":
-            ok = realizable_from(init_state or (), result.witness, config)
-            print(
-                f"witness realizable from --init {_init_token(init_kind, init_state)}: "
-                f"{'yes' if ok else 'no'}"
-            )
-            result_fields.append(("witness_from_init", "yes" if ok else "no"))
-    print(f"elapsed: {elapsed:.3f}s")
-    records.append(("result", result_fields))
-    if refinement is not None:
-        for step in refinement.log:
+        print(f"iterations: {len(result.log)}")
+        for step in result.log:
             fields: list[tuple[str, object]] = [
-                ("idx", step.index),
                 ("wcet", step.wcet),
                 ("witness_len", len(step.witness)),
                 ("feasible", "yes" if step.feasible else "no"),
@@ -332,13 +307,28 @@ def cmd_wcet(args) -> int:
             ]
             if step.core is not None:
                 fields.append(("core", _core_token(step.core)))
-            records.append(("iteration", fields))
-    records.extend(_steps_records(result.witness, program.durations, config))
-    _write_out(args.out, _render_records(records))
-    return 0
+            text = " ".join(f"{key}={value}" for key, value in fields)
+            print(f"  iter {step.index}: {text}")
+            iterations.append(("iteration", [("idx", step.index), *fields]))
+        initial = _state_token(result.initial_state)
+        print(f"witness initial state: {initial}")
+        result_fields.append(("iterations", len(result.log)))
+        result_fields.append(("witness_initial", initial))
+        if init is not None:
+            ok = "yes" if realizable_from(init, result.witness, config) else "no"
+            print(f"witness realizable from --init {init_token}: {ok}")
+            result_fields.append(("witness_from_init", ok))
+    print(f"elapsed: {elapsed:.3f}s")
+    return [
+        ("run", [("command", "wcet"), ("mode", args.analysis), ("program", program.name)]),
+        _config_record(config, init_token, args),
+        ("result", result_fields),
+        *iterations,
+        *_steps_records(result.witness, program.durations, config),
+    ]
 
 
-def cmd_example(args) -> int:
+def cmd_example(args) -> None:
     durations: dict[int, int] = {}
     for pair in args.dur or ():
         pc_text, sep, dur_text = pair.partition("=")
@@ -354,14 +344,16 @@ def cmd_example(args) -> int:
     text = serialize_program(program)
     if args.out:
         _write_out(args.out, text)
+        choices = args.branches + 1
+        runs = choices ** args.iterations
+        if runs >= 10 ** _RUN_COUNT_DIGITS:
+            runs = f"{choices}^{args.iterations}"
         print(
             f"wrote {args.out}: {args.iterations} iterations, "
-            f"{args.branches + 1} branch choices, "
-            f"{(args.branches + 1) ** args.iterations} runs"
+            f"{choices} branch choices, {runs} runs"
         )
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -374,14 +366,20 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ValidationError(f"bad range {text!r}, expected N or LO..HI") from None
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[Record]:
     config = _config_from_args(args)
     lo, hi = _parse_range(args.branches)
     if lo < 0 or hi < lo:
         raise ValidationError(f"bad branch range {args.branches!r}")
+    analyses = {
+        "explicit": lambda program: explore_explicit(program, config),
+        "abstract": lambda program: explore_abstract(
+            program, from_pattern(args.pattern, program.lines(config)), config
+        ),
+    }
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
-        if mode not in ("explicit", "abstract"):
+        if mode not in analyses:
             raise ValidationError(f"sweep modes are explicit/abstract, got {mode!r}")
     if not modes:
         raise ValidationError("sweep needs at least one mode")
@@ -402,43 +400,31 @@ def cmd_sweep(args) -> int:
         ),
         _config_record(config, "empty", args),
     ]
-    header = f"{'n':>4}"
-    if "explicit" in modes:
-        header += f" {'states(explicit)':>17}"
-    if "abstract" in modes:
-        header += f" {'states(abstract)':>17}"
-    header += f" {'wcet':>8}"
-    print(header)
+    columns = [mode for mode in analyses if mode in modes]  # table order, not --modes
+    header = "".join(f" {f'states({mode})':>17}" for mode in columns)
+    print(f"{'n':>4}{header} {'wcet':>8}")
     for n in range(lo, hi + 1):
         program = branching_loop_program(args.iterations, n)
         fields: list[tuple[str, object]] = [("n", n)]
         row = f"{n:>4}"
         wcets: list[int] = []
-        if "explicit" in modes:
-            explicit = explore_explicit(program, config)
-            fields.append(("explicit_wcet", explicit.wcet))
-            fields.append(("explicit_states", explicit.states_explored))
-            row += f" {explicit.states_explored:>17}"
-            wcets.append(explicit.wcet)
-        if "abstract" in modes:
-            model = from_pattern(args.pattern, program.lines(config))
-            abstract = explore_abstract(program, model, config)
-            fields.append(("abstract_wcet", abstract.wcet))
-            fields.append(("abstract_states", abstract.states_explored))
-            row += f" {abstract.states_explored:>17}"
-            wcets.append(abstract.wcet)
+        for mode in columns:
+            result = analyses[mode](program)
+            fields.append((f"{mode}_wcet", result.wcet))
+            fields.append((f"{mode}_states", result.states_explored))
+            row += f" {result.states_explored:>17}"
+            wcets.append(result.wcet)
         marker = "" if len(set(wcets)) == 1 else " (!)"
         fields.append(("wcet", wcets[0]))
-        print(row + f" {wcets[0]:>8}" + marker)
+        print(f"{row} {wcets[0]:>8}{marker}")
         records.append(("row", fields))
-    _write_out(args.out, _render_records(records))
-    return 0
+    return records
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[Record]:
     config = _config_from_args(args)
-    init_kind, init_state = _parse_init(args.init, "empty")
-    if init_kind == "unknown":
+    init = _parse_init("empty" if args.init is None else args.init)
+    if init is None:
         raise ValidationError(
             "simulate needs a concrete --init (empty or state=<lines>)"
         )
@@ -453,52 +439,36 @@ def cmd_simulate(args) -> int:
         source = [("source", "pcs")]
     else:
         program = parse_program(_read_file(args.program))
-        runs = []
-        for seq in language_sequences(program, args.max_len):
-            runs.append(seq)
-            if len(runs) > 1:
-                raise ValidationError(
-                    f"program {program.name} has several runs; "
-                    "pick one with --pcs"
-                )
+        runs = list(itertools.islice(language_sequences(program, args.max_len), 2))
+        if len(runs) > 1:
+            raise ValidationError(
+                f"program {program.name} has several runs; pick one with --pcs"
+            )
         pcs = runs[0]
         durations = program.durations
         source = [("source", "program"), ("program", program.name)]
 
-    trace = simulate(config, init_state or (), pcs)
-    state = init_state or ()
+    trace = simulate(config, init, pcs)
+    steps = _steps_records(trace, durations, config)
     print(f"{'#':>3} {'pc':>6} {'line':>6} {'cls':>3} {'fetch':>6} {'exec':>6} {'clock':>8}")
-    clock = 0
-    for idx, a in enumerate(trace):
+    widths = (3, 6, 6, 3, 6, 6, 8)  # the fields of a step record, in order
+    state = init
+    for a, (_, fields) in zip(trace, steps):
         state, _ = access(state, a.line, config)
-        cost = step_cost(a.pc, a.cls, durations, config)
-        clock += cost.total
-        print(
-            f"{idx:>3} {a.pc:>6} {a.line:>6} {a.cls.letter:>3} "
-            f"{cost.fetch_cycles:>6} {cost.execute_cycles:>6} {clock:>8}"
-        )
-    print(f"final cache (most recent first): {_state_token(state)}")
+        print(" ".join(f"{value:>{w}}" for (_, value), w in zip(fields, widths)))
+    cache = _state_token(state)
+    clock = dict(steps[-1][1])["clock"] if steps else 0
+    print(f"final cache (most recent first): {cache}")
     print(f"total time: {clock} cycles")
-    records: list[Record] = [
+    return [
         ("run", [("command", "simulate")] + source),
-        _config_record(config, _init_token(init_kind, init_state), args),
+        _config_record(config, _init_token(init), args),
+        *steps,
+        ("final", [("cache", cache), ("accesses", len(trace)), ("time", clock)]),
     ]
-    records.extend(_steps_records(trace, durations, config))
-    records.append(
-        (
-            "final",
-            [
-                ("cache", _state_token(state)),
-                ("accesses", len(trace)),
-                ("time", clock),
-            ],
-        )
-    )
-    _write_out(args.out, _render_records(records))
-    return 0
 
 
-def cmd_feasibility(args) -> int:
+def cmd_feasibility(args) -> list[Record]:
     config = _config_from_args(args)
     trace = parse_trace_text(_read_file(args.trace), config)
     verdict = is_feasible_from_some_state(trace, config)
@@ -508,20 +478,10 @@ def cmd_feasibility(args) -> int:
     ]
     print(f"trace: {len(trace)} accesses")
     if verdict.feasible:
+        initial = _state_token(verdict.initial_state or ())
         print("verdict: feasible")
-        print(
-            "initial cache (most recent first): "
-            f"{_state_token(verdict.initial_state or ())}"
-        )
-        records.append(
-            (
-                "verdict",
-                [
-                    ("feasible", "yes"),
-                    ("initial", _state_token(verdict.initial_state or ())),
-                ],
-            )
-        )
+        print(f"initial cache (most recent first): {initial}")
+        records.append(("verdict", [("feasible", "yes"), ("initial", initial)]))
     else:
         core = infeasible_core(trace, config)
         start = next(
@@ -545,8 +505,7 @@ def cmd_feasibility(args) -> int:
                 ],
             )
         )
-    _write_out(args.out, _render_records(records))
-    return 0
+    return records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="write a machine-readable report here")
     max_len = argparse.ArgumentParser(add_help=False)
     max_len.add_argument("--max-len", type=int, default=10_000, dest="max_len",
-                         help="longest program run to tolerate")
+                         action=_NonNegative, help="longest program run to tolerate")
 
     p_wcet = sub.add_parser(
         "wcet", parents=[shared, max_len], help="compute a worst-case execution time"
@@ -630,16 +589,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IterationBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        records = args.handler(args)  # None from example, which writes no report
+        if records is not None:
+            _write_out(args.out, _render_records(records))
+        return 0
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, BoundExceeded):
+            return 2
+        return 3 if isinstance(exc, IterationBudgetExceeded) else 1
 
 
 def entry() -> None:

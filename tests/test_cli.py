@@ -50,6 +50,12 @@ pc=3 cls=M
 pc=1 cls=H
 """
 
+NO_EDGES = """\
+program nothing
+entry A
+end A
+"""
+
 MISSES_ONLY_MODEL = """\
 alphabet *:M
 state s accepting
@@ -81,6 +87,20 @@ def test_example_round_trips_through_the_parser(tmp_path, capsys):
     assert main(["example", "--iterations", "3", "--branches", "1", "--out", out]) == 0
     assert "8 runs" in capsys.readouterr().out
     assert parse_program(open(out).read()) == branching_loop_program(3, 1)
+
+
+def test_example_prints_a_long_run_count_as_a_power(tmp_path, capsys):
+    out = str(tmp_path / "loop.prog")
+    # 3**209 has 100 digits and 3**210 has 101; 2**15000 is far past the
+    # default limit of Python's int-to-decimal conversion.
+    for iterations, branches, runs in [
+        (209, 2, str(3 ** 209)), (210, 2, "3^210"), (15000, 1, "2^15000"),
+    ]:
+        argv = ["example", "--iterations", str(iterations),
+                "--branches", str(branches), "--out", out]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(f" choices, {runs} runs\n")
+    assert parse_program(open(out).read()) == branching_loop_program(15000, 1)
 
 
 def test_example_prints_to_stdout_by_default(capsys):
@@ -179,6 +199,24 @@ def test_wcet_explicit_with_warm_state(tmp_path, capsys):
     assert "wcet: 9 cycles" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", [
+    ["explicit"],
+    ["abstract", "--pattern", "M*"],
+    ["abstract", "--model", "{model}"],
+    ["refine"],
+])
+def test_program_whose_only_run_is_empty(tmp_path, capsys, mode):
+    prog = write(tmp_path, "nothing.prog", NO_EDGES)
+    # `*:H` names no symbol when the program has no line, so spell one out
+    model = write(tmp_path, "one.model",
+                  "alphabet 1:H 1:M\nstate ok accepting\ninitial ok\n")
+    argv = ["wcet", mode[0], prog] + [a.format(model=model) for a in mode[1:]]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "wcet: 0 cycles" in text
+    assert "witness (0 steps): " in text
+
+
 def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
     prog = write(tmp_path, "chain.prog", CHAIN_121)
     trace = write(tmp_path, "good.trace", FEASIBLE_TRACE)
@@ -188,6 +226,7 @@ def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
         ["nonsense"],
         ["wcet", "explicit", str(tmp_path / "missing.prog")],
         ["wcet", "explicit", prog, "--init", "unknown"],
+        ["wcet", "explicit", prog, "--init", ""],
         ["wcet", "explicit", prog, "--pattern", "M*"],
         ["wcet", "abstract", prog],  # needs --pattern or --model
         ["wcet", "abstract", prog, "--pattern", "(M"],
@@ -206,6 +245,10 @@ def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
         ["simulate", "--pcs", "1", "--max-iters", "0"],
         ["feasibility", trace, "--max-len", "1"],
         ["feasibility", trace, "--max-iters", "0"],
+        # a run length is never negative
+        ["wcet", "explicit", prog, "--max-len", "-1"],
+        ["simulate", prog, "--max-len", "-1"],
+        ["simulate", "--pcs", "1,2", "--max-len", "-1"],
     ]
     for argv in bad:
         assert main(argv) == 1, argv
@@ -347,6 +390,45 @@ def test_sweep_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert main(args + ["--out", b]) == 0
     capsys.readouterr()
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_refine_iteration_lines_match_their_records(tmp_path, capsys):
+    prog = write(tmp_path, "chain.prog", CHAIN_121)
+    rec = str(tmp_path / "r.rec")
+    assert main(["wcet", "refine", prog, "--init", "state=1,2", "--out", rec]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lines = [line.strip() for line in out if line.startswith("  iter ")]
+    iters = by_type(records_of(rec), "iteration")
+    assert len(lines) == len(iters) == 4
+    for line, fields in zip(lines, iters):
+        rest = " ".join(f"{k}={v}" for k, v in fields.items() if k != "idx")
+        assert line == f"iter {fields['idx']}: {rest}"
+
+
+def test_simulate_rows_match_their_step_records(tmp_path, capsys):
+    rec = str(tmp_path / "r.rec")
+    assert main(["simulate", "--pcs", "1,2,3,1", "--capacity", "3", "--out", rec]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-2]
+    steps = by_type(records_of(rec), "step")
+    assert len(rows) == len(steps) == 4
+    for row, fields in zip(rows, steps):
+        assert row.split() == list(fields.values())
+
+
+def test_sweep_rows_match_their_row_records(tmp_path, capsys):
+    rec = str(tmp_path / "r.rec")
+    # the columns stay explicit then abstract whatever the --modes order
+    assert main(["sweep", "--iterations", "3", "--branches", "1..3",
+                 "--modes", "abstract,explicit", "--out", rec]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "states(explicit)", "states(abstract)", "wcet"]
+    recs = records_of(rec)
+    assert by_type(recs, "meta")[0]["modes"] == "abstract,explicit"
+    fields = by_type(recs, "row")
+    assert len(rows) == len(fields) == 3
+    for row, r in zip(rows, fields):
+        columns = [r["n"], r["explicit_states"], r["abstract_states"], r["wcet"]]
+        assert row.split() == columns
 
 
 def test_machine_records_have_no_spaces_in_values(tmp_path, capsys):
