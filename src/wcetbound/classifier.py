@@ -15,7 +15,9 @@ table; other code steps an automaton through ``ClassifierAutomaton.step``.
 
 Constructors: the universal model ``hit_or_miss``, classification-only
 ``from_pattern`` expressions like ``(M.H.M.M)*``, the contains-infix
-language ``infix_language``, and the ``parse_model`` file format.  The
+language ``infix_language``, and the ``parse_model`` file format.  A
+pattern compiles in one pass: the parser builds its position automaton,
+whose DFA states are sets of letter positions, with no epsilon moves.  The
 ``subtract`` operation removes one language from another; it is how
 refinement rules out behaviours no real cache exhibits.
 """
@@ -154,18 +156,6 @@ def allows(
     return automaton.run(as_symbols(trace)) in automaton.live_states()
 
 
-def _check_same_alphabet(
-    a: ClassifierAutomaton, b: ClassifierAutomaton
-) -> tuple[AccessSymbol, ...]:
-    if a.alphabet != b.alphabet:
-        differ = sorted(set(a.alphabet) ^ set(b.alphabet))
-        raise AlphabetMismatch(
-            "operations need identical alphabets: "
-            f"{' '.join(map(str, differ))} differ"
-        )
-    return a.alphabet
-
-
 def hit_or_miss(lines: Iterable[int]) -> ClassifierAutomaton:
     """The universal model: every classification of every line is allowed."""
     alphabet = full_alphabet(lines)
@@ -186,25 +176,43 @@ def complement(a: ClassifierAutomaton) -> ClassifierAutomaton:
     )
 
 
+def _number(start, step):
+    """Number the states reachable from ``start`` in BFS order.
+
+    ``step(state)`` gives the state's whole row of successors, in column
+    order.  Returns the states in order of their numbers and each state's
+    row of successor numbers.
+    """
+    index = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:
+        row = []
+        for nxt in step(state):
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    return states, rows
+
+
 def intersect(
     a: ClassifierAutomaton, b: ClassifierAutomaton
 ) -> ClassifierAutomaton:
     """Product construction, restricted to reachable pairs."""
-    _check_same_alphabet(a, b)
-    start = (a.initial, b.initial)
-    index: dict[tuple[int, int], int] = {start: 0}
-    rows: list[tuple[int, ...]] = []
-    pairs = [start]
-    for qa, qb in pairs:
-        row = []
-        for nxt in zip(a.transitions[qa], b.transitions[qb]):
-            if nxt not in index:
-                index[nxt] = len(index)
-                pairs.append(nxt)
-            row.append(index[nxt])
-        rows.append(tuple(row))
+    if a.alphabet != b.alphabet:
+        differ = sorted(set(a.alphabet) ^ set(b.alphabet))
+        raise AlphabetMismatch(
+            "operations need identical alphabets: "
+            f"{' '.join(map(str, differ))} differ"
+        )
+    ta, tb = a.transitions, b.transitions
+    pairs, rows = _number(
+        (a.initial, b.initial), lambda pair: zip(ta[pair[0]], tb[pair[1]])
+    )
     accepting = frozenset(
-        i for (qa, qb), i in index.items()
+        i for i, (qa, qb) in enumerate(pairs)
         if qa in a.accepting and qb in b.accepting
     )
     return ClassifierAutomaton(
@@ -222,55 +230,34 @@ def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
     in column order, so equal-language minimal automata come out
     structurally identical.
     """
-    table = a.transitions
-    # Reachable restriction.
-    reach = [a.initial]
-    seen = {a.initial}
-    for q in reach:
-        for nxt in table[q]:
-            if nxt not in seen:
-                seen.add(nxt)
-                reach.append(nxt)
-    block = {q: (0 if q in a.accepting else 1) for q in reach}
-    n_blocks = len(set(block.values()))
+    reach, table = _number(a.initial, a.transitions.__getitem__)
+    block = [0 if q in a.accepting else 1 for q in reach]
+    n_blocks = len(set(block))
     while True:
         # A signature holds the state's own block, so each round only
         # splits blocks: the partition is stable once the count stops.
         ids: dict[tuple, int] = {}
-        new_block = {
-            q: ids.setdefault(
-                (block[q], tuple([block[r] for r in table[q]])), len(ids)
-            )
-            for q in reach
-        }
-        block = new_block
+        block = [
+            ids.setdefault((block[q], tuple([block[r] for r in row])), len(ids))
+            for q, row in enumerate(table)
+        ]
         if len(ids) == n_blocks:
             break
         n_blocks = len(ids)
     # Quotient, renumbered by BFS from the initial block.
-    repr_of_block: dict[int, int] = {}
-    for q in reach:
-        repr_of_block.setdefault(block[q], q)
-    bfs_index: dict[int, int] = {block[a.initial]: 0}
-    bfs = [block[a.initial]]
-    for blk in bfs:
-        for r in table[repr_of_block[blk]]:
-            nb = block[r]
-            if nb not in bfs_index:
-                bfs_index[nb] = len(bfs_index)
-                bfs.append(nb)
-    rows = tuple(
-        tuple([bfs_index[block[r]] for r in table[repr_of_block[blk]]])
-        for blk in bfs
-    )
-    accepting = frozenset(
-        i for i, blk in enumerate(bfs) if repr_of_block[blk] in a.accepting
+    member = {}
+    for q, blk in enumerate(block):
+        member.setdefault(blk, q)
+    blocks, rows = _number(
+        block[0], lambda blk: [block[r] for r in table[member[blk]]]
     )
     return ClassifierAutomaton(
         alphabet=a.alphabet,
         initial=0,
-        accepting=accepting,
-        transitions=rows,
+        accepting=frozenset(
+            i for i, blk in enumerate(blocks) if reach[member[blk]] in a.accepting
+        ),
+        transitions=tuple(rows),
     )
 
 
@@ -278,7 +265,6 @@ def subtract(
     a: ClassifierAutomaton, o: ClassifierAutomaton
 ) -> ClassifierAutomaton:
     """Language difference L(a) minus L(o), minimized."""
-    _check_same_alphabet(a, o)
     return minimize(intersect(a, complement(o)))
 
 
@@ -334,63 +320,9 @@ def infix_language(
 
 # --- pattern expressions ---------------------------------------------------
 
-_EPS = None
-
-
-def _parse_pattern(pattern: str):
-    """Recursive-descent parser for H/M patterns with '.', '*', parens.
-
-    Returns an AST of ('sym', Classification) | ('cat', [..]) | ('star', x).
-    """
-    pos = 0
-    text = pattern
-
-    def error(msg: str):
-        raise PatternParseError(f"{msg} at position {pos} in {text!r}")
-
-    def peek() -> str | None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        return text[pos] if pos < len(text) else None
-
-    def parse_expr():
-        nonlocal pos
-        factors = [parse_factor()]
-        while peek() == ".":
-            pos += 1
-            factors.append(parse_factor())
-        return ("cat", factors)
-
-    def parse_factor():
-        nonlocal pos
-        node = parse_atom()
-        while peek() == "*":
-            pos += 1
-            node = ("star", node)
-        return node
-
-    def parse_atom():
-        nonlocal pos
-        ch = peek()
-        if ch == "H" or ch == "M":
-            pos += 1
-            return ("sym", Classification.from_letter(ch))
-        if ch == "(":
-            pos += 1
-            node = parse_expr()
-            if peek() != ")":
-                error("expected ')'")
-            pos += 1
-            return node
-        error(f"expected H, M or '(', got {ch!r}")
-
-    if peek() is None:
-        return ("cat", [])
-    ast = parse_expr()
-    if peek() is not None:
-        error(f"unexpected {peek()!r}")
-    return ast
+# Deepest parenthesis nesting a pattern may use; the parser adds three
+# frames per level, so this keeps it well below Python's recursion limit.
+MAX_PATTERN_NESTING = 100
 
 
 def from_pattern(pattern: str, lines: Iterable[int]) -> ClassifierAutomaton:
@@ -398,85 +330,104 @@ def from_pattern(pattern: str, lines: Iterable[int]) -> ClassifierAutomaton:
 
     The pattern constrains hit/miss letters only; any line may carry each
     letter.  Grammar: H | M | '(' expr ')' with '.' concatenation and
-    postfix '*'.  The empty pattern accepts only the empty trace, whose
-    prefix lens then allows nothing but the empty trace.
+    postfix '*', nested at most MAX_PATTERN_NESTING parentheses deep.  The
+    empty pattern accepts only the empty trace, whose prefix lens then
+    allows nothing but the empty trace.
+
+    Position automaton (McNaughton-Yamada, Glushkov), built while parsing:
+    each H or M is a position, position 0 is the start, and each
+    subexpression yields (nullable, first positions, last positions).
+    Concatenation and star add to one ``follow`` table; the DFA states are
+    the sets of positions reached.
     """
     alphabet = full_alphabet(lines)
-    ast = _parse_pattern(pattern)
+    pos = 0
+    letter_of: list[Classification | None] = [None]
+    follow: list[set[int]] = [set()]
 
-    # Thompson construction over the two classification letters.
-    nfa_eps: list[list[int]] = []
-    nfa_sym: list[list[tuple[Classification, int]]] = []
+    def error(msg: str):
+        raise PatternParseError(f"{msg} at position {pos} in {pattern!r}")
 
-    def new_state() -> int:
-        nfa_eps.append([])
-        nfa_sym.append([])
-        return len(nfa_eps) - 1
+    def peek() -> str | None:
+        nonlocal pos
+        while pos < len(pattern) and pattern[pos].isspace():
+            pos += 1
+        return pattern[pos] if pos < len(pattern) else None
 
-    def build(node) -> tuple[int, int]:
-        kind = node[0]
-        if kind == "sym":
-            s, t = new_state(), new_state()
-            nfa_sym[s].append((node[1], t))
-            return s, t
-        if kind == "cat":
-            s = t = new_state()
-            for child in node[1]:
-                cs, ct = build(child)
-                nfa_eps[t].append(cs)
-                t = ct
-            return s, t
-        if kind == "star":
-            cs, ct = build(node[1])
-            s = new_state()
-            nfa_eps[s].append(cs)
-            nfa_eps[ct].append(s)
-            return s, s
-        raise AssertionError(kind)
+    def link(last: set[int], first: set[int]) -> None:
+        for p in last:
+            follow[p] |= first
 
-    start, accept = build(ast)
+    def parse_expr(depth: int):
+        nonlocal pos
+        nullable, first, last = parse_factor(depth)
+        while peek() == ".":
+            pos += 1
+            n2, f2, l2 = parse_factor(depth)
+            link(last, f2)
+            first = first | f2 if nullable else first
+            last = last | l2 if n2 else l2
+            nullable = nullable and n2
+        return nullable, first, last
 
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        out = set(states)
-        todo = list(states)
-        while todo:
-            for nxt in nfa_eps[todo.pop()]:
-                if nxt not in out:
-                    out.add(nxt)
-                    todo.append(nxt)
-        return frozenset(out)
+    def parse_factor(depth: int):
+        nonlocal pos
+        nullable, first, last = parse_atom(depth)
+        while peek() == "*":
+            pos += 1
+            link(last, first)
+            nullable = True
+        return nullable, first, last
 
-    start_set = closure(frozenset({start}))
-    index: dict[frozenset[int], int] = {start_set: 0}
-    # Row of the two-letter DFA: (successor on H, successor on M).
-    letter_rows: list[tuple[int, ...]] = []
-    subsets = [start_set]
-    for current in subsets:
-        row = []
-        for letter in (Classification.HIT, Classification.MISS):
-            moved = frozenset(
-                t for q in current for (c, t) in nfa_sym[q] if c == letter
-            )
-            nxt = closure(moved)
-            if nxt not in index:
-                index[nxt] = len(index)
-                subsets.append(nxt)
-            row.append(index[nxt])
-        letter_rows.append(tuple(row))
-    accepting = frozenset(
-        i for subset, i in index.items() if accept in subset
-    )
+    def parse_atom(depth: int):
+        nonlocal pos
+        ch = peek()
+        if ch == "H" or ch == "M":
+            pos += 1
+            letter_of.append(Classification.from_letter(ch))
+            follow.append(set())
+            return False, {len(follow) - 1}, {len(follow) - 1}
+        if ch == "(":
+            if depth == MAX_PATTERN_NESTING:
+                error(f"parentheses nested deeper than {MAX_PATTERN_NESTING}")
+            pos += 1
+            result = parse_expr(depth + 1)
+            if peek() != ")":
+                error("expected ')'")
+            pos += 1
+            return result
+        error(f"expected H, M or '(', got {ch!r}")
+
+    if peek() is None:
+        nullable, first, last = True, set(), set()
+    else:
+        nullable, first, last = parse_expr(0)
+        if peek() is not None:
+            error(f"unexpected {peek()!r}")
+    follow[0] = first
+    final = last | {0} if nullable else last
+
+    def step(state: frozenset[int]) -> list[frozenset[int]]:
+        reached = set().union(*[follow[p] for p in state])
+        return [
+            frozenset(q for q in reached if letter_of[q] is letter)
+            for letter in (Classification.HIT, Classification.MISS)
+        ]
+
+    # Rows of the two-letter DFA: (successor on H, successor on M).
+    states, letter_rows = _number(frozenset({0}), step)
     # Lift the two-letter DFA to the full symbol alphabet: lines are
     # indistinguishable to a pattern.
-    rows = tuple(
-        tuple(row[sym.cls] for sym in alphabet) for row in letter_rows
-    )
     return minimize(
         ClassifierAutomaton(
             alphabet=alphabet,
             initial=0,
-            accepting=accepting,
-            transitions=rows,
+            accepting=frozenset(
+                i for i, state in enumerate(states) if not final.isdisjoint(state)
+            ),
+            transitions=tuple(
+                tuple(row[sym.cls] for sym in alphabet) for row in letter_rows
+            ),
         )
     )
 
@@ -501,10 +452,7 @@ def _parse_symbol_token(
                 "or list lines explicitly)",
                 line_no,
             )
-        universe = sorted(set(lines))
-        if not universe:
-            raise ParseError("wildcard symbol over an empty line universe", line_no)
-        return [AccessSymbol(line, cls) for line in universe]
+        return [AccessSymbol(line, cls) for line in sorted(set(lines))]
     try:
         return [AccessSymbol(int(head), cls)]
     except ValueError:

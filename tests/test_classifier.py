@@ -3,7 +3,7 @@
 Pattern membership is cross-checked against Python's re module: the
 pattern grammar maps onto regular expressions by dropping the explicit
 concatenation dots, which gives an oracle that shares no code with the
-Thompson/subset construction under test.  The boolean operations are
+position automaton under test.  The boolean operations are
 cross-checked on random complete DFAs against a walk of the drawn table.
 """
 
@@ -12,7 +12,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcetbound import (
@@ -36,6 +36,7 @@ from wcetbound import (
     same_language,
     subtract,
 )
+from wcetbound.classifier import MAX_PATTERN_NESTING
 
 H = Classification.HIT
 M = Classification.MISS
@@ -53,6 +54,10 @@ def words_up_to(alphabet, max_len):
 
 def letters(word) -> str:
     return "".join(s.cls.letter for s in word)
+
+
+def tables(a: ClassifierAutomaton):
+    return a.alphabet, a.initial, a.accepting, a.transitions
 
 
 def regex_accepts(pattern: str, word) -> bool:
@@ -109,7 +114,9 @@ def test_pattern_ignores_line_identity():
 
 
 def test_stacked_stars_collapse():
-    assert same_language(from_pattern("((M))**", LINES), from_pattern("M*", LINES))
+    star = from_pattern("M*", LINES)
+    assert same_language(from_pattern("((M))**", LINES), star)
+    assert tables(from_pattern("M" + "*" * 5000, LINES)) == tables(star)
 
 
 def test_empty_pattern_allows_only_the_empty_trace():
@@ -121,9 +128,94 @@ def test_empty_pattern_allows_only_the_empty_trace():
 
 
 def test_pattern_parse_errors():
-    for bad in ["X", "(M", "M)", "M..H", "*", "M.*", "()", ")(", "M H"]:
-        with pytest.raises(PatternParseError):
+    expected = {
+        "X": "expected H, M or '(', got 'X' at position 0 in 'X'",
+        "(M": "expected ')' at position 2 in '(M'",
+        "M)": "unexpected ')' at position 1 in 'M)'",
+        "M..H": "expected H, M or '(', got '.' at position 2 in 'M..H'",
+        "*": "expected H, M or '(', got '*' at position 0 in '*'",
+        "M.*": "expected H, M or '(', got '*' at position 2 in 'M.*'",
+        "()": "expected H, M or '(', got ')' at position 1 in '()'",
+        ")(": "expected H, M or '(', got ')' at position 0 in ')('",
+        "M H": "unexpected 'H' at position 2 in 'M H'",
+    }
+    for bad, message in expected.items():
+        with pytest.raises(PatternParseError) as info:
             from_pattern(bad, LINES)
+        assert str(info.value) == message
+
+
+def test_pattern_nesting_has_a_budget():
+    assert MAX_PATTERN_NESTING == 100
+    nested = "(" * 100 + "M" + ")" * 100
+    assert tables(from_pattern(nested, LINES)) == tables(from_pattern("M", LINES))
+    for depth in (101, 400):
+        text = " " + "(" * depth + "M" + ")" * depth
+        with pytest.raises(PatternParseError) as info:
+            from_pattern(text, LINES)
+        assert str(info.value) == (
+            f"parentheses nested deeper than 100 at position 101 in {text!r}"
+        )
+
+
+# A drawn pattern tree is a letter, ("cat", [two or three trees]) or
+# ("star", tree, number of stacked stars).  ("cat", []) is the empty
+# pattern, which only the whole tree may be.
+PATTERN_TREES = st.recursive(
+    st.sampled_from("HM"),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: ("cat", xs)),
+        st.tuples(st.just("star"), kids, st.integers(1, 3)),
+    ),
+    max_leaves=8,
+)
+
+
+def pattern_text(tree, rng: random.Random) -> str:
+    """The tree as a pattern, with random extra parentheses and spaces."""
+
+    def group(text: str, needed: bool) -> str:
+        return f"({text})" if needed or rng.random() < 0.3 else text
+
+    def render(node) -> str:
+        if isinstance(node, str):
+            return group(node, False)
+        if node[0] == "cat":
+            return group(".".join(map(render, node[1])), False) if node[1] else ""
+        _, kid, stars = node
+        return group(render(kid), not isinstance(kid, str)) + "*" * stars
+
+    spaces = ["", "", " ", "\t", " \n"]
+    return "".join(rng.choice(spaces) + ch for ch in render(tree)) + rng.choice(spaces)
+
+
+def regex_text(node) -> str:
+    """The tree as a Python regular expression.
+
+    A run of stacked stars becomes one ``(?:X)*``: nesting ``re``'s star
+    directly in itself makes its backtracking exponential.
+    """
+    if isinstance(node, str):
+        return node
+    if node[0] == "cat":
+        return "".join(f"(?:{regex_text(kid)})" for kid in node[1])
+    while not isinstance(node, str) and node[0] == "star":
+        node = node[1]
+    return f"(?:{regex_text(node)})*"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(PATTERN_TREES, st.integers(0, 2**32), st.integers(0, 2**32))
+@example(("cat", []), 0, 1)
+def test_drawn_patterns_match_the_regex_oracle(tree, seed_a, seed_b):
+    a = from_pattern(pattern_text(tree, random.Random(seed_a)), (1,))
+    b = from_pattern(pattern_text(tree, random.Random(seed_b)), (1,))
+    assert tables(a) == tables(b)
+    regex = re.compile(regex_text(tree))
+    for n in range(6):
+        for word in itertools.product("HM", repeat=n):
+            expected = regex.fullmatch("".join(word)) is not None
+            assert accepts(a, [sym(1, ch) for ch in word]) == expected, word
 
 
 def test_hit_or_miss_is_universal():

@@ -203,14 +203,22 @@ def test_wcet_explicit_with_warm_state(tmp_path, capsys):
     ["explicit"],
     ["abstract", "--pattern", "M*"],
     ["abstract", "--model", "{model}"],
+    ["abstract", "--model", "{any_model}"],
     ["refine"],
 ])
 def test_program_whose_only_run_is_empty(tmp_path, capsys, mode):
     prog = write(tmp_path, "nothing.prog", NO_EDGES)
-    # `*:H` names no symbol when the program has no line, so spell one out
     model = write(tmp_path, "one.model",
                   "alphabet 1:H 1:M\nstate ok accepting\ninitial ok\n")
-    argv = ["wcet", mode[0], prog] + [a.format(model=model) for a in mode[1:]]
+    # with no program line, `*:H` and `*:M` expand to no symbol
+    any_model = write(
+        tmp_path, "any.model",
+        "alphabet *:H *:M\nstate ok accepting\ninitial ok\n"
+        "trans ok *:H ok\ntrans ok *:M ok\n",
+    )
+    argv = ["wcet", mode[0], prog] + [
+        a.format(model=model, any_model=any_model) for a in mode[1:]
+    ]
     assert main(argv) == 0
     text = capsys.readouterr().out
     assert "wcet: 0 cycles" in text
@@ -221,6 +229,7 @@ def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
     prog = write(tmp_path, "chain.prog", CHAIN_121)
     trace = write(tmp_path, "good.trace", FEASIBLE_TRACE)
     misses = write(tmp_path, "misses.model", MISSES_ONLY_MODEL)
+    deep = "(" * 400 + "M" + ")" * 400
     bad = [
         [],
         ["nonsense"],
@@ -249,6 +258,9 @@ def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
         ["wcet", "explicit", prog, "--max-len", "-1"],
         ["simulate", prog, "--max-len", "-1"],
         ["simulate", "--pcs", "1,2", "--max-len", "-1"],
+        # past the pattern nesting budget
+        ["wcet", "abstract", prog, "--pattern", deep],
+        ["sweep", "--iterations", "2", "--branches", "1", "--pattern", deep],
     ]
     for argv in bad:
         assert main(argv) == 1, argv
