@@ -21,19 +21,14 @@ from .cache import (
 from .classifier import (
     AccessSymbol,
     ClassifierAutomaton,
-    accepts,
-    allows,
-    as_symbols,
     complement,
     from_pattern,
     full_alphabet,
     hit_or_miss,
     infix_language,
     intersect,
-    is_empty_language,
     minimize,
     parse_model,
-    same_language,
     subtract,
 )
 from .errors import (
@@ -53,7 +48,6 @@ from .program import (
     Program,
     branching_loop_program,
     ensure_bounded,
-    language_sequences,
     parse_program,
     serialize_program,
 )
@@ -61,7 +55,6 @@ from .refinement import (
     FeasibilityVerdict,
     RefinementResult,
     RefinementStep,
-    candidate_initial_states,
     infeasible_core,
     is_feasible_from_some_state,
     realizable_from,
@@ -96,12 +89,8 @@ __all__ = [
     "StepCost",
     "UnknownInstruction",
     "ValidationError",
-    "accepts",
     "access",
-    "allows",
-    "as_symbols",
     "branching_loop_program",
-    "candidate_initial_states",
     "complement",
     "ensure_bounded",
     "explore_abstract",
@@ -112,15 +101,12 @@ __all__ = [
     "infeasible_core",
     "infix_language",
     "intersect",
-    "is_empty_language",
     "is_feasible_from_some_state",
-    "language_sequences",
     "minimize",
     "parse_model",
     "parse_program",
     "realizable_from",
     "run_refinement",
-    "same_language",
     "serialize_program",
     "simulate",
     "step_cost",

@@ -20,7 +20,6 @@ records; ``main`` writes them.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 import time
 from typing import Iterable, Sequence
@@ -46,13 +45,14 @@ from .errors import (
 )
 from .explorer import explore_abstract, explore_explicit
 from .program import (
+    Adjacency,
     Program,
     branching_loop_program,
     ensure_bounded,
-    language_sequences,
     longest_run,
     parse_program,
     serialize_program,
+    single_run,
 )
 from .refinement import (
     is_feasible_from_some_state,
@@ -120,6 +120,18 @@ def _witness_text(trace: ClassifiedTrace) -> str:
 
 def _core_token(core: ClassifiedTrace) -> str:
     return ".".join(f"{a.line}:{a.cls.letter}" for a in core)
+
+
+def _check_max_len(length: int, max_len: int) -> None:
+    if length > max_len:
+        raise BoundExceeded(f"a run longer than max_len={max_len} exists")
+
+
+def _bounded(program: Program, max_len: int) -> Adjacency:
+    """``ensure_bounded``'s adjacency, once no run is longer than ``max_len``."""
+    adjacency = ensure_bounded(program)
+    _check_max_len(longest_run(program, adjacency), max_len)
+    return adjacency
 
 
 def _config_record(config: CacheConfig, init_text: str, args) -> Record:
@@ -265,8 +277,7 @@ def cmd_wcet(args) -> list[Record]:
                 "is not meaningful here"
             )
         model = _load_model(args, program, config)
-    if longest_run(program, ensure_bounded(program)) > args.max_len:
-        raise BoundExceeded(f"a run longer than max_len={args.max_len} exists")
+    _bounded(program, args.max_len)
 
     started = time.perf_counter()
     if args.analysis == "explicit":
@@ -435,16 +446,16 @@ def cmd_simulate(args) -> list[Record]:
             pcs = tuple(int(tok) for tok in args.pcs.split(",") if tok != "")
         except ValueError:
             raise ValidationError(f"bad --pcs list {args.pcs!r}") from None
+        _check_max_len(len(pcs), args.max_len)
         durations = {pc: 1 for pc in pcs}
         source = [("source", "pcs")]
     else:
         program = parse_program(_read_file(args.program))
-        runs = list(itertools.islice(language_sequences(program, args.max_len), 2))
-        if len(runs) > 1:
+        pcs = single_run(program, _bounded(program, args.max_len))
+        if pcs is None:
             raise ValidationError(
                 f"program {program.name} has several runs; pick one with --pcs"
             )
-        pcs = runs[0]
         durations = program.durations
         source = [("source", "program"), ("program", program.name)]
 

@@ -7,7 +7,7 @@ location identity, so bounded loops appear unrolled and the automaton of a
 bounded program is acyclic.
 
 Also provides the parametric branching-loop generator used throughout the
-test corpus, language enumeration, and the text file format.
+test corpus, and the text file format.
 """
 
 from __future__ import annotations
@@ -198,60 +198,20 @@ def longest_run(program: Program, adjacency: Adjacency) -> int:
     return longest[program.entry]
 
 
-def language_sequences(program: Program, max_len: int) -> Iterator[tuple[int, ...]]:
-    """Yield every entry-to-end pc sequence of length <= max_len, each
-    exactly once, in lexicographic order (ascending pc at each step).
-
-    Enumeration runs over the subset determinization of the location
-    automaton, so duplicate labellings of distinct paths collapse.  Dead
-    branches (locations that cannot reach the end) are pruned; if a run
-    longer than max_len exists, or a cycle reaches the end, BoundExceeded
-    is raised rather than silently truncating the language.
-    """
-    if max_len < 0:
-        raise ValidationError(f"max_len must be >= 0, got {max_len}")
-    by_loc: dict[str, dict[int, set[str]]] = {}
-    for loc, pairs in ensure_bounded(program).items():
-        for pc, dst in pairs:
-            by_loc.setdefault(loc, {}).setdefault(pc, set()).add(dst)
-
-    succ_cache: dict[tuple[str, ...], tuple[tuple[int, tuple[str, ...]], ...]] = {}
-
-    def successors(subset: tuple[str, ...]) -> tuple[tuple[int, tuple[str, ...]], ...]:
-        cached = succ_cache.get(subset)
-        if cached is not None:
-            return cached
-        merged: dict[int, set[str]] = {}
-        for loc in subset:
-            for pc, dsts in by_loc.get(loc, {}).items():
-                merged.setdefault(pc, set()).update(dsts)
-        out = tuple(
-            (pc, tuple(sorted(merged[pc]))) for pc in sorted(merged)
-        )
-        succ_cache[subset] = out
-        return out
-
-    start = (program.entry,)
-    path: list[int] = []
-    stack: list[tuple[tuple[str, ...], int]] = [(start, 0)]
-    while stack:
-        subset, idx = stack[-1]
-        succs = successors(subset)
-        if idx == 0 and program.end in subset:
-            yield tuple(path)
-        if idx < len(succs):
-            stack[-1] = (subset, idx + 1)
-            pc, nxt = succs[idx]
-            if len(path) == max_len:
-                raise BoundExceeded(
-                    f"a run longer than max_len={max_len} exists"
-                )
-            path.append(pc)
-            stack.append((nxt, 0))
-        else:
-            stack.pop()
-            if path:
-                path.pop()
+def single_run(program: Program, adjacency: Adjacency) -> tuple[int, ...] | None:
+    """The program's only run, or None if it has several.  Walks the set of
+    locations the run so far reaches along ``ensure_bounded``'s adjacency;
+    a second pc out of that set, or a step on past the end, is a second run."""
+    run: list[int] = []
+    here = {program.entry}
+    while True:
+        steps = {step for loc in here for step in adjacency.get(loc, ())}
+        if not steps:
+            return tuple(run)
+        if program.end in here or len({pc for pc, _ in steps}) > 1:
+            return None
+        run.append(next(iter(steps))[0])
+        here = {dst for _, dst in steps}
 
 
 def branching_loop_program(

@@ -1,17 +1,20 @@
 """Shared builders and brute-force oracles.
 
 The oracles deliberately avoid the code paths they are used to check:
-WCETs come from enumerating the run language and simulating, never from
-the explorer's memoized search; unknown-initial-state results come from
-enumerating candidate initial caches directly, never from the refinement
-loop.  They share only the elementary cache step, which has its own
-reference-walk oracle in test_cache.
+runs come from walking the raw edges of a program (``oracle_runs``), never
+from the package's bounded adjacency; WCETs come from simulating each run,
+never from the explorer's memoized search; unknown-initial-state results
+come from enumerating candidate initial caches directly, never from the
+refinement loop.  They share only the elementary cache step, which has its
+own reference-walk oracle in test_cache.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+from hypothesis import strategies as st
 
 from wcetbound import (
     CacheConfig,
@@ -21,7 +24,6 @@ from wcetbound import (
     Program,
     ReplacementPolicy,
     access,
-    language_sequences,
     simulate,
     trace_time,
 )
@@ -89,6 +91,25 @@ def random_program(rng: random.Random, name: str = "rand") -> Program:
     return Program.build(name, entry, cur, edges, durations)
 
 
+@st.composite
+def same_pc_forks(draw) -> Program:
+    """A chain of forks whose branches all open with the same pc."""
+    fresh = itertools.count(1)
+    edges, cur = [], "L0"
+    for _ in range(draw(st.integers(1, 3))):
+        join, first = f"L{next(fresh)}", draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(2, 3))):
+            pcs = [first, *draw(st.lists(st.integers(1, 3), max_size=1))]
+            prev = cur
+            for i, pc in enumerate(pcs):
+                nxt = join if i == len(pcs) - 1 else f"L{next(fresh)}"
+                edges.append((prev, pc, nxt))
+                prev = nxt
+        cur = join
+    durations = {pc: draw(st.integers(0, 2)) for pc in {pc for _, pc, _ in edges}}
+    return Program.build("forks", "L0", cur, edges, durations)
+
+
 def random_config(rng: random.Random) -> CacheConfig:
     hit = rng.randint(0, 3)
     return CacheConfig(
@@ -100,6 +121,23 @@ def random_config(rng: random.Random) -> CacheConfig:
             [ReplacementPolicy.PROMOTE_ON_HIT, ReplacementPolicy.PURE_FIFO]
         ),
     )
+
+
+def oracle_runs(program: Program, max_len: int) -> list[tuple[int, ...]]:
+    """The distinct pc sequences of the entry-to-end paths of at most
+    ``max_len`` steps, sorted: a depth-first walk of every raw path."""
+    out: dict[str, list] = {}
+    for e in program.edges:
+        out.setdefault(e.src, []).append(e)
+    runs: set[tuple[int, ...]] = set()
+    paths = [(program.entry, ())]
+    while paths:
+        loc, pcs = paths.pop()
+        if loc == program.end:
+            runs.add(pcs)
+        if len(pcs) < max_len:
+            paths.extend((e.dst, pcs + (e.pc,)) for e in out.get(loc, ()))
+    return sorted(runs)
 
 
 def oracle_candidate_states(lines, capacity):
@@ -136,7 +174,7 @@ def oracle_explicit(program: Program, config: CacheConfig, init=(), max_len=64):
     """(wcet, witness): enumerate runs, simulate, take the max; ties go to
     the lexicographically least (pc, cls) sequence."""
     best = None
-    for seq in language_sequences(program, max_len):
+    for seq in oracle_runs(program, max_len):
         trace = simulate(config, init, seq)
         t = trace_time(trace, program.durations, config)
         cand_key = tuple((a.pc, a.cls) for a in trace)
@@ -154,7 +192,7 @@ def oracle_universal_model(program: Program, config: CacheConfig, max_len=64):
     """(wcet, witness) over every run and every hit/miss word, which is what
     the universal classifier allows; ties as in ``oracle_explicit``."""
     best = None
-    for seq in language_sequences(program, max_len):
+    for seq in oracle_runs(program, max_len):
         for word in itertools.product(Classification, repeat=len(seq)):
             trace = tuple(
                 ClassifiedAccess(pc, config.line_of(pc), cls)
@@ -171,7 +209,7 @@ def oracle_universal_model(program: Program, config: CacheConfig, max_len=64):
 def oracle_unknown_init(program: Program, config: CacheConfig, max_len=64):
     """Max time over runs and over the candidate initial-state family."""
     best = -1
-    for seq in language_sequences(program, max_len):
+    for seq in oracle_runs(program, max_len):
         lines = [config.line_of(pc) for pc in seq]
         for state in oracle_candidate_states(lines, config.capacity):
             trace = simulate(config, state, seq)

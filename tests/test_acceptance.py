@@ -22,7 +22,6 @@ from wcetbound import (
     CacheConfig,
     Classification,
     ClassifiedAccess,
-    accepts,
     access,
     branching_loop_program,
     explore_abstract,
@@ -36,6 +35,7 @@ from wcetbound import (
     simulate,
     trace_time,
 )
+from wcetbound.classifier import accepts
 from wcetbound.cli import main as cli_main
 
 H = Classification.HIT

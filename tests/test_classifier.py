@@ -22,21 +22,23 @@ from wcetbound import (
     ClassifierAutomaton,
     PatternParseError,
     ValidationError,
-    accepts,
-    allows,
     complement,
     from_pattern,
     full_alphabet,
     hit_or_miss,
     infix_language,
     intersect,
-    is_empty_language,
     minimize,
     parse_model,
-    same_language,
     subtract,
 )
-from wcetbound.classifier import MAX_PATTERN_NESTING
+from wcetbound.classifier import (
+    MAX_PATTERN_NESTING,
+    accepts,
+    allows,
+    is_empty_language,
+    same_language,
+)
 
 H = Classification.HIT
 M = Classification.MISS

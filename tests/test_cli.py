@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
-from wcetbound import branching_loop_program, parse_program, serialize_program
+from wcetbound import (
+    Program,
+    branching_loop_program,
+    parse_program,
+    serialize_program,
+)
 from wcetbound.cli import main
 
 CHAIN_121 = """\
@@ -350,6 +355,48 @@ def test_simulate_with_warm_init(capsys):
     assert main(["simulate", "--pcs", "1", "--init", "state=1", "--hit", "3"]) == 0
     text = capsys.readouterr().out
     assert "total time: 4 cycles" in text  # hit 3 + default duration 1
+
+
+def chain_edges(src, pcs, dst, tag):
+    """Edges of a chain from src to dst through fresh locations tag0, tag1..."""
+    locs = [src, *(f"{tag}{i}" for i in range(len(pcs) - 1)), dst]
+    return [(a, pc, b) for a, pc, b in zip(locs, pcs, locs[1:])]
+
+
+SEVERAL = "error: program p has several runs; pick one with --pcs\n"
+TOO_LONG = "error: a run longer than max_len=5 exists\n"
+PREFIX_FORK = chain_edges("A", range(1, 9), "F", "p") + [("F", 9, "E"), ("F", 10, "E")]
+LONG = chain_edges("A", [2] * 10, "E", "l")
+
+
+@pytest.mark.parametrize("edges, extra, code, err", [
+    (chain_edges("A", [1, 2, 1], "E", "c"), [], 0, ""),
+    ([("A", 1, "E"), ("A", 2, "E")], [], 1, SEVERAL),
+    # an 8-step prefix, then a fork
+    (PREFIX_FORK, ["--max-len", "5"], 2, TOO_LONG),
+    (PREFIX_FORK, ["--max-len", "100"], 1, SEVERAL),
+    # a fork into a 1-step and a 10-step branch, the short one first or last
+    ([("A", 1, "E")] + LONG, ["--max-len", "5"], 2, TOO_LONG),
+    ([("A", 3, "E")] + LONG, ["--max-len", "5"], 2, TOO_LONG),
+    ([("A", 1, "A"), ("A", 2, "E")], [], 2,
+     "error: cycle through location 'A' reaches the end: run lengths are unbounded\n"),
+    # a single run beside a dead self-loop
+    ([("A", 1, "E"), ("A", 2, "S"), ("S", 3, "S")], [], 0, ""),
+    # two 1-step runs, then a 10-step one: any run past --max-len exits 2
+    ([("A", 1, "E"), ("A", 2, "E")] + chain_edges("A", [3] * 10, "E", "l"),
+     ["--max-len", "5"], 2, TOO_LONG),
+    # the --pcs sequence is a run too
+    (None, ["--pcs", "1,2,3", "--max-len", "1"], 2,
+     "error: a run longer than max_len=1 exists\n"),
+], ids=["chain", "fork", "prefix-fork-5", "prefix-fork-100", "short-long",
+        "long-short", "cycle", "dead-loop", "two-short-one-long", "pcs"])
+def test_simulate_exit_codes_and_messages(tmp_path, capsys, edges, extra, code, err):
+    argv = ["simulate", *extra, "--out", str(tmp_path / "sim.rec")]
+    if edges is not None:
+        program = Program.build("p", "A", "E", edges)
+        argv.append(write(tmp_path, "p.prog", serialize_program(program)))
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
 
 
 def test_feasibility_verdicts(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Product-state exploration, explicit and abstract."""
 
-import itertools
 import random
 
 import pytest
@@ -12,8 +11,10 @@ from conftest import (
     fork_program,
     oracle_explicit,
     oracle_universal_model,
+    oracle_runs,
     random_config,
     random_program,
+    same_pc_forks,
 )
 from wcetbound import (
     AbstractModelEmpty,
@@ -25,7 +26,6 @@ from wcetbound import (
     Program,
     ReplacementPolicy,
     ValidationError,
-    as_symbols,
     branching_loop_program,
     complement,
     explore_abstract,
@@ -33,11 +33,11 @@ from wcetbound import (
     from_pattern,
     full_alphabet,
     hit_or_miss,
-    language_sequences,
     parse_model,
     simulate,
     trace_time,
 )
+from wcetbound.classifier import as_symbols
 
 H = Classification.HIT
 M = Classification.MISS
@@ -129,7 +129,7 @@ def test_duration_override_parameter():
 
 def test_merging_keeps_state_count_below_run_count():
     program = branching_loop_program(iterations=5, branches=3)
-    runs = sum(1 for _ in language_sequences(program, 64))
+    runs = len(oracle_runs(program, 64))
     assert runs == 4 ** 5
     res = explore_explicit(program, CacheConfig())
     assert res.states_explored < 120 < runs
@@ -156,25 +156,6 @@ def test_equal_first_steps_compare_the_rest_of_the_run():
         explore_abstract(program, hit_or_miss(program.lines(config)), config),
     ):
         assert [a.pc for a in res.witness] == [1, 2]
-
-
-@st.composite
-def same_pc_forks(draw) -> Program:
-    """A chain of forks whose branches all open with the same pc."""
-    fresh = itertools.count(1)
-    edges, cur = [], "L0"
-    for _ in range(draw(st.integers(1, 3))):
-        join, first = f"L{next(fresh)}", draw(st.integers(1, 3))
-        for _ in range(draw(st.integers(2, 3))):
-            pcs = [first, *draw(st.lists(st.integers(1, 3), max_size=1))]
-            prev = cur
-            for i, pc in enumerate(pcs):
-                nxt = join if i == len(pcs) - 1 else f"L{next(fresh)}"
-                edges.append((prev, pc, nxt))
-                prev = nxt
-        cur = join
-    durations = {pc: draw(st.integers(0, 2)) for pc in {pc for _, pc, _ in edges}}
-    return Program.build("forks", "L0", cur, edges, durations)
 
 
 small_configs = st.builds(
@@ -214,7 +195,7 @@ def test_unconstrained_model_gives_the_all_miss_bound():
         res = explore_abstract(program, hit_or_miss(lines), config)
         want = max(
             sum(config.miss_time + program.durations[pc] for pc in seq)
-            for seq in language_sequences(program, 64)
+            for seq in oracle_runs(program, 64)
         )
         assert res.wcet == want
         assert res.mode == "abstract"
@@ -239,7 +220,7 @@ def test_exact_model_reproduces_explicit_answer():
         config = random_config(rng)
         words = [
             as_symbols(simulate(config, (), seq))
-            for seq in language_sequences(program, 64)
+            for seq in oracle_runs(program, 64)
         ]
         model = trie_automaton(words, full_alphabet(program.lines(config)))
         abstract = explore_abstract(program, model, config)

@@ -1,10 +1,19 @@
-"""Program model: construction, parsing, and run-language enumeration."""
+"""Program model: construction, parsing, run bounds and the single-run walk.
 
+Runs are checked against ``conftest.oracle_runs``, a walk of the raw edges.
+"""
+
+import ast
+import importlib
+import inspect
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import chain_program, random_program
+from conftest import chain_program, oracle_runs, random_program, same_pc_forks
 from wcetbound import (
     BoundExceeded,
     ParseError,
@@ -12,11 +21,14 @@ from wcetbound import (
     ValidationError,
     branching_loop_program,
     ensure_bounded,
-    language_sequences,
     parse_program,
     serialize_program,
 )
-from wcetbound.program import longest_run
+from wcetbound.program import longest_run, single_run
+
+
+def the_single_run(program):
+    return single_run(program, ensure_bounded(program))
 
 
 def test_build_canonicalizes_edges_and_infers_locations():
@@ -47,29 +59,30 @@ def test_build_rejects_bad_shapes():
 
 def test_entry_equal_end_has_exactly_the_empty_run():
     p = Program.build("p", "A", "A", [])
-    assert list(language_sequences(p, 10)) == [()]
+    assert oracle_runs(p, 10) == [()]
+    assert the_single_run(p) == ()
 
 
 def test_dead_end_location_is_allowed_but_pruned_from_language():
     p = Program.build(
         "p", "A", "End", [("A", 1, "B"), ("B", 2, "End"), ("B", 3, "Dead")]
     )
-    assert list(language_sequences(p, 10)) == [(1, 2)]
+    assert oracle_runs(p, 10) == [(1, 2)]
+    assert the_single_run(p) == (1, 2)
 
 
 def test_single_run_language():
     p = chain_program([1, 2, 1])
-    assert list(language_sequences(p, 10)) == [(1, 2, 1)]
+    assert oracle_runs(p, 10) == [(1, 2, 1)]
+    assert the_single_run(p) == (1, 2, 1)
 
 
-def test_language_is_sorted_and_duplicate_free():
+def test_longest_run_is_the_longest_oracle_run():
     rng = random.Random(11)
     for i in range(40):
         p = random_program(rng, name=f"r{i}")
-        seqs = list(language_sequences(p, 64))
-        assert seqs == sorted(seqs)
-        assert len(seqs) == len(set(seqs))
-        assert longest_run(p, ensure_bounded(p)) == max(map(len, seqs))
+        runs = oracle_runs(p, 64)
+        assert longest_run(p, ensure_bounded(p)) == max(map(len, runs))
 
 
 def test_nondeterministic_label_duplicates_collapse():
@@ -80,12 +93,13 @@ def test_nondeterministic_label_duplicates_collapse():
         "D",
         [("A", 1, "B1"), ("A", 1, "B2"), ("B1", 2, "D"), ("B2", 2, "D")],
     )
-    assert list(language_sequences(p, 10)) == [(1, 2)]
+    assert oracle_runs(p, 10) == [(1, 2)]
+    assert the_single_run(p) == (1, 2)
 
 
 def test_branching_loop_shape():
     p = branching_loop_program(iterations=2, branches=3)
-    seqs = list(language_sequences(p, 100))
+    seqs = oracle_runs(p, 100)
     assert len(seqs) == (3 + 1) ** 2
     assert all(len(s) == 4 * 2 for s in seqs)
     # every iteration reads the loop head twice, then a branch, then the tail
@@ -100,8 +114,36 @@ def test_branching_loop_shape():
 
 def test_branching_loop_run_count_large():
     p = branching_loop_program(iterations=5, branches=10)
-    count = sum(1 for _ in language_sequences(p, 64))
-    assert count == 11 ** 5 == 161051
+    assert len(oracle_runs(p, 64)) == 11 ** 5 == 161051
+    assert the_single_run(p) is None
+
+
+drawn_programs = st.one_of(
+    st.randoms(use_true_random=False).map(random_program),
+    st.lists(st.integers(1, 4), max_size=6).map(chain_program),
+    same_pc_forks(),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(drawn_programs)
+def test_single_run_matches_the_oracle(program):
+    runs = oracle_runs(program, 64)
+    assert the_single_run(program) == (runs[0] if len(runs) == 1 else None)
+
+
+def test_conftest_imports_only_types_errors_and_the_cache_step():
+    # the oracles share only the elementary cache step with the package
+    allowed = {"access", "simulate", "trace_time"}
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("wcetbound") for a in node.names)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("wcetbound"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                obj = getattr(module, alias.name)
+                assert alias.name in allowed or not inspect.isfunction(obj), alias.name
 
 
 def test_equal_programs_hash_equally():
@@ -118,16 +160,11 @@ def test_branching_loop_duration_overrides():
 
 def test_language_bound_is_a_hard_error():
     cyclic = Program.build("c", "A", "B", [("A", 1, "A"), ("A", 2, "B")])
-    with pytest.raises(BoundExceeded):
-        list(language_sequences(cyclic, 50))
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BoundExceeded, match="cycle through location 'A'"):
         ensure_bounded(cyclic)
-    # acyclic but longer than the bound is the same error
+    # the CLI compares --max-len with the longest run
     p = chain_program([1, 2, 3])
-    with pytest.raises(BoundExceeded):
-        list(language_sequences(p, 2))
-    # a bound met exactly is fine
-    assert list(language_sequences(p, 3)) == [(1, 2, 3)]
+    assert longest_run(p, ensure_bounded(p)) == 3
 
 
 def test_cycle_outside_coreachable_region_is_harmless():
@@ -137,8 +174,8 @@ def test_cycle_outside_coreachable_region_is_harmless():
         "End",
         [("A", 1, "End"), ("A", 2, "Spin"), ("Spin", 3, "Spin")],
     )
-    ensure_bounded(p)
-    assert list(language_sequences(p, 10)) == [(1,)]
+    assert oracle_runs(p, 10) == [(1,)]
+    assert the_single_run(p) == (1,)
 
 
 def test_parse_round_trip():
@@ -166,7 +203,7 @@ edge B C pc=2
     p = parse_program(text)
     assert p.name == "demo"
     assert p.durations == {1: 3, 2: 1}
-    assert list(language_sequences(p, 10)) == [(1, 2)]
+    assert oracle_runs(p, 10) == [(1, 2)]
 
 
 def test_parse_errors_carry_line_numbers():

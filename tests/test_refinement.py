@@ -26,9 +26,7 @@ from wcetbound import (
     IterationBudgetExceeded,
     ReplacementPolicy,
     ValidationError,
-    accepts,
     branching_loop_program,
-    candidate_initial_states,
     explore_explicit,
     full_alphabet,
     infeasible_core,
@@ -39,6 +37,8 @@ from wcetbound import (
     simulate,
     trace_time,
 )
+from wcetbound.classifier import accepts
+from wcetbound.refinement import candidate_initial_states
 
 H = Classification.HIT
 M = Classification.MISS
