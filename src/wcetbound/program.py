@@ -13,6 +13,7 @@ test corpus, and the text file format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cache import CacheConfig
@@ -108,6 +109,12 @@ class Program:
     def lines(self, config: CacheConfig) -> tuple[int, ...]:
         return tuple(sorted({config.line_of(pc) for pc in self.durations}))
 
+    @cached_property
+    def _adjacency(self) -> Adjacency:
+        # Computed on first use and kept with the instance, so its lifetime
+        # is the program's; see ``ensure_bounded``.
+        return _bounded_adjacency(self)
+
 
 def _reach(start: str, step: Mapping[str, list[str]]) -> set[str]:
     """Every location reachable from ``start`` along ``step`` (start included)."""
@@ -134,6 +141,15 @@ Adjacency = dict[str, tuple[tuple[int, str], ...]]
 
 def ensure_bounded(program: Program) -> Adjacency:
     """Check that the run set is finite; returns the co-reachable adjacency.
+
+    The check runs once per program instance: every later call returns the
+    same adjacency, which callers must not mutate.
+    """
+    return program._adjacency
+
+
+def _bounded_adjacency(program: Program) -> Adjacency:
+    """The work of ``ensure_bounded``.
 
     The adjacency maps each location that can reach the end, other than the
     end itself, to its (pc, destination) edges into such locations, sorted.

@@ -4,10 +4,12 @@ The initial cache state is unknown, so a classified trace is *feasible*
 when some initial state reproduces its classifications exactly.  Because
 the cache is deterministic, checking ranges over a finite family of
 candidate initial states: ordered arrangements (length <= capacity) of the
-trace's own lines plus capacity many unused filler lines.  Fillers never
-hit on the trace's accesses and are interchangeable, and any line a state
-could contain beyond the trace's lines behaves like a filler, so the
-family decides feasibility over the unrestricted line universe.
+trace's own lines and unused filler lines.  Fillers never hit on the
+trace's accesses and are interchangeable, and any line a state could
+contain beyond the trace's lines behaves like a filler, so the family
+decides feasibility over the unrestricted line universe.  It holds one
+arrangement per filler renaming: the fillers of a state are always the
+lowest unused ids, in increasing order.
 
 Refinement starts from the universal model and repeatedly removes the
 contains-infix closure of a minimal all-state-infeasible core of the
@@ -19,7 +21,6 @@ round, so the finite trace language shrinks and the loop terminates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -76,21 +77,70 @@ def realizable_from(
 def candidate_initial_states(
     lines: tuple[int, ...], capacity: int
 ) -> Iterator[CacheState]:
-    """The deciding family: arrangements of trace lines + fillers.
+    """The deciding family: arrangements of trace lines and fillers, one
+    per filler renaming.
 
-    Filler ids are concrete unused line ids just above the trace's own, so
-    every candidate is an ordinary state over the unrestricted universe.
-    Enumeration is deterministic, shortest states first, and starts with
-    the empty state.
+    Fillers are the concrete unused ids ``fresh_base``, ``fresh_base + 1``,
+    ... just above the trace's own lines, and a state holds them in that
+    order, so every candidate is an ordinary state over the unrestricted
+    universe.  Enumeration is lazy and deterministic: shortest states
+    first, starting with the empty state, and each length in lexicographic
+    order with trace lines in first-appearance order before any filler.
+    That is the order of the plain walk over all permutations of the lines
+    and *capacity* fillers, minus the states whose fillers are renamed, so
+    the first state that realizes a trace is the same in both.
     """
-    distinct: list[int] = []
-    for line in lines:
-        if line not in distinct:
-            distinct.append(line)
+    distinct = tuple(dict.fromkeys(lines))
     fresh_base = max(distinct, default=-1) + 1
-    universe = distinct + [fresh_base + i for i in range(capacity)]
-    for k in range(capacity + 1):
-        yield from itertools.permutations(universe, k)
+    yield ()
+    for k in range(1, capacity + 1):
+        yield from _arrangements(distinct, fresh_base, k)
+
+
+def _arrangements(
+    distinct: tuple[int, ...], fresh_base: int, k: int
+) -> Iterator[CacheState]:
+    """The length-``k`` states of the family, in order, by a depth-first
+    walk that keeps only the current prefix, so memory is O(k).  The walk
+    is a loop, not a recursion, so no capacity meets the recursion limit.
+
+    A pick is an index into ``distinct``, or ``len(distinct)`` for the
+    next filler; the choices for the last slot are yielded in one batch.
+    """
+    d = len(distinct)
+    singles = [(line,) for line in distinct]
+    state: list[int] = []
+    picks: list[int] = []
+    used = [False] * d
+    fillers = 0
+    pick = 0  # the least pick to try for the next slot
+    while True:
+        if len(picks) < k - 1:
+            while pick < d and used[pick]:
+                pick += 1
+            if pick <= d:
+                picks.append(pick)
+                if pick < d:
+                    used[pick] = True
+                    state.append(distinct[pick])
+                else:
+                    state.append(fresh_base + fillers)
+                    fillers += 1
+                pick = 0
+                continue
+        else:
+            last = [singles[j] for j in range(d) if not used[j]]
+            last.append((fresh_base + fillers,))
+            yield from map(tuple(state).__add__, last)
+        if not picks:
+            return
+        pick = picks.pop()
+        state.pop()
+        if pick < d:
+            used[pick] = False
+        else:
+            fillers -= 1
+        pick += 1
 
 
 def is_feasible_from_some_state(

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, human output, machine records."""
 
+import resource
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from wcetbound import (
     parse_program,
     serialize_program,
 )
+from wcetbound import program as program_module
 from wcetbound.cli import main
 
 CHAIN_121 = """\
@@ -185,6 +187,20 @@ def test_wcet_refine_reports_iterations(tmp_path, capsys):
     assert iters[0]["core"] == "1:M.2:M.1:M"
     (result,) = by_type(recs, "result")
     assert result["witness_initial"] == "empty"
+
+
+def test_wcet_refine_checks_boundedness_once(tmp_path, capsys, monkeypatch):
+    # the CLI's --max-len check and every refinement round's exploration
+    # share one co-reachable adjacency per program
+    calls = []
+    real = program_module.co_reachable
+    monkeypatch.setattr(
+        program_module, "co_reachable", lambda p: calls.append(p) or real(p)
+    )
+    prog = write(tmp_path, "chain.prog", CHAIN_121)
+    assert main(["wcet", "refine", prog]) == 0
+    assert "iterations: 4" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_wcet_refine_checks_a_claimed_initial_state(tmp_path, capsys):
@@ -416,6 +432,28 @@ def test_feasibility_verdicts(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "verdict: feasible" in text
     assert "initial cache (most recent first): empty" in text
+
+
+def test_feasibility_at_a_huge_capacity_answers_in_bounded_memory(tmp_path):
+    # the candidate family is enumerated lazily and holds no filler list,
+    # so a trace realized by the empty state answers at once
+    trace = write(tmp_path, "cold.trace", "pc=1 cls=M\npc=2 cls=M\n")
+
+    def limit_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "wcetbound", "feasibility", trace,
+         "--capacity", "30000000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: feasible" in proc.stdout
+    assert "initial cache (most recent first): empty" in proc.stdout
 
 
 def test_feasibility_trace_parse_error(tmp_path, capsys):

@@ -6,13 +6,17 @@ before being written down.
 """
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     chain_program,
     fork_program,
+    oracle_candidate_states,
     oracle_explicit,
     oracle_feasible,
     oracle_unknown_init,
@@ -130,10 +134,59 @@ def test_realizable_from_matches_plain_simulation():
 def test_candidate_family_shape():
     states = list(candidate_initial_states((1, 2, 1), 2))
     assert states[0] == ()
-    assert len(states) == len(set(states)) == 1 + 4 + 12  # lengths 0, 1, 2
+    # one state per filler renaming, lengths 0, 1 and 2
+    assert len(states) == len(set(states)) == 1 + 3 + 7
     assert all(len(s) <= 2 and len(set(s)) == len(s) for s in states)
     lengths = [len(s) for s in states]
     assert lengths == sorted(lengths)  # shortest states first
+
+
+@pytest.mark.parametrize("d, capacity", [(0, 3), (1, 4), (2, 2), (3, 3), (5, 4), (4, 6)])
+def test_candidate_family_size_has_a_closed_form(d, capacity):
+    # a length-k state places f fillers (in their one canonical order) on
+    # C(k, f) slot sets and an arrangement of k - f trace lines on the rest
+    expected = sum(
+        math.comb(k, f) * math.perm(d, k - f)
+        for k in range(capacity + 1)
+        for f in range(k + 1)
+    )
+    states = list(candidate_initial_states(tuple(range(10, 10 + d)), capacity))
+    assert len(states) == len(set(states)) == expected
+
+
+def renamed_oracle_family(lines, capacity):
+    """The full oracle family with fillers renamed by first appearance in
+    each state, keeping the first occurrence of each renamed state."""
+    base = max(lines, default=-1) + 1
+    seen = {}
+    for state in oracle_candidate_states(lines, capacity):
+        names = {}
+        renamed = tuple(
+            x if x < base else names.setdefault(x, base + len(names))
+            for x in state
+        )
+        seen.setdefault(renamed, None)
+    return list(seen)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=8), st.integers(1, 4))
+def test_candidate_family_is_the_oracle_family_up_to_filler_renaming(lines, capacity):
+    got = list(candidate_initial_states(tuple(lines), capacity))
+    assert got == renamed_oracle_family(lines, capacity)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.sampled_from("HM")), max_size=8),
+    st.integers(1, 4),
+    st.sampled_from(list(ReplacementPolicy)),
+)
+def test_feasibility_matches_the_full_family_oracle(steps, capacity, policy):
+    config = CacheConfig(capacity=capacity, policy=policy)
+    trace = tr(*steps)
+    verdict = is_feasible_from_some_state(trace, config)
+    assert (verdict.feasible, verdict.initial_state) == oracle_feasible(trace, config)
 
 
 def test_family_verdict_is_stable_under_larger_universes():
