@@ -8,6 +8,9 @@ before being written down.
 import itertools
 import math
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -99,10 +102,20 @@ def test_capacity_one_eviction_core():
 
 
 def test_documented_two_miss_core():
-    config = CacheConfig(capacity=2)
-    trace = tr((1, "H"), (2, "M"), (2, "M"), (3, "H"))
-    assert not is_feasible_from_some_state(trace, config).feasible
-    assert infeasible_core(trace, config) == trace[1:3]
+    fifo = ReplacementPolicy.PURE_FIFO
+    named = tr((2, "H"), (1, "M"), (2, "M"), (4, "H"), (1, "M"))
+    cases = [
+        (CacheConfig(capacity=2), tr((1, "H"), (2, "M"), (2, "M"), (3, "H")), 1, 3),
+        # the leading hit names a slot of the unknown state: promote moves
+        # line 2 to the front, where one miss cannot evict it; fifo leaves
+        # it in place, where the last slot can be evicted, and the core is
+        # instead the miss on line 1 that two insertions cannot cause
+        (CacheConfig(capacity=3), named, 0, 3),
+        (CacheConfig(capacity=3, policy=fifo), named, 1, 5),
+    ]
+    for config, trace, start, stop in cases:
+        assert not is_feasible_from_some_state(trace, config).feasible
+        assert infeasible_core(trace, config) == trace[start:stop]
 
 
 def test_miss_after_hit_on_same_line_core():
@@ -259,6 +272,64 @@ def test_core_is_minimal_and_leftmost():
         if len(core) > 1:
             assert oracle_feasible(core[1:], config)[0]
             assert oracle_feasible(core[:-1], config)[0]
+
+
+def oracle_core(trace, config):
+    """The shortest, then leftmost, infix that ``oracle_feasible`` rejects,
+    or None when the whole trace is feasible."""
+    for length in range(1, len(trace) + 1):
+        for start in range(len(trace) - length + 1):
+            if not oracle_feasible(trace[start : start + length], config)[0]:
+                return trace[start : start + length]
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.sampled_from("HM")), max_size=9),
+    st.integers(1, 4),
+    st.sampled_from(list(ReplacementPolicy)),
+)
+def test_core_matches_the_shortest_leftmost_oracle_scan(steps, capacity, policy):
+    config = CacheConfig(capacity=capacity, policy=policy)
+    trace = tr(*steps)
+    expected = oracle_core(trace, config)
+    if expected is None:
+        with pytest.raises(ValidationError):
+            infeasible_core(trace, config)
+    else:
+        assert infeasible_core(trace, config) == expected
+
+
+def test_core_at_a_huge_capacity_answers_in_bounded_memory():
+    """The core sweep keeps the unknown slots of the start state implicit,
+    so a core that needs no fresh hit is found at any capacity.  A fresh
+    hit under fifo still names any of up to ``capacity`` slots, so such
+    traces still cost time and memory that grow with the capacity."""
+    code = (
+        "from wcetbound import CacheConfig, ReplacementPolicy, simulate\n"
+        "from wcetbound import infeasible_core\n"
+        "for policy in ReplacementPolicy:\n"
+        "    config = CacheConfig(capacity=10**9, policy=policy)\n"
+        "    miss = simulate(config, (), (2,))\n"
+        "    trace = miss + miss\n"
+        "    assert infeasible_core(trace, config) == trace, policy\n"
+        "print('ok')\n"
+    )
+
+    def limit_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_excluded_language_matches_by_line_not_pc():
