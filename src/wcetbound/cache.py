@@ -1,11 +1,29 @@
-"""Concrete instruction-cache semantics.
+"""Instruction-cache semantics, for concrete and symbolic states.
 
 A cache state is an ordered tuple of distinct line identifiers, most
 recently inserted (or promoted) first.  An access to a resident line is a
 Hit; a non-resident line is a Miss and is inserted at the front, evicting
 the last entry once the cache is full.  Two replacement flavours are
 supported: PROMOTE_ON_HIT additionally moves a hit line to the front,
-PURE_FIFO leaves the order untouched on hits.
+PURE_FIFO leaves the order untouched on hits.  ``access`` is the one
+definition of these rules.
+
+A *symbolic* state may also hold ``?`` (``None``) slots: residents of an
+unknown start state that no access has touched yet.  The ``?``s that
+fill a symbolic state up to capacity are left implicit, so a fully
+unknown cache is ``()`` and no state ends in ``?``.  ``access`` works
+unchanged on such states: a ``?`` matches no line, and a miss pushes out
+the last slot, known or ``?``.  ``symbolic_access`` steps one observed
+classification on top of it:
+
+- the ``access`` successor, when ``access`` gives that classification
+  (trailing ``?``s trimmed);
+- and for a Hit on a line not seen before, each way the line can be one
+  of the ``?``s: it fills one ``?``, explicit or implicit, in place, and
+  is then hit through ``access``.  Under promote that hit moves it to
+  the front, so the first implicit ``?`` stands for all of them.
+
+A line seen before is never a ``?``: it hits only when resident.
 
 Instructions are identified by their pc; the cache works on lines, with
 line = pc // line_size.
@@ -47,6 +65,9 @@ class ReplacementPolicy(enum.Enum):
 # Most recently inserted/promoted line first; last entry is the eviction
 # candidate.
 CacheState = tuple[int, ...]
+
+# Known lines and None for ``?``, most recent first, no trailing None.
+SymbolicState = tuple[int | None, ...]
 
 
 @dataclass(frozen=True)
@@ -105,6 +126,42 @@ def access(
         idx = state.index(line)
         return (line,) + state[:idx] + state[idx + 1 :], Classification.HIT
     return state, Classification.HIT
+
+
+def symbolic_access(
+    state: SymbolicState,
+    line: int,
+    cls: Classification,
+    seen: set[int],
+    config: CacheConfig,
+) -> list[SymbolicState]:
+    """The successors of ``state`` on which an access to ``line`` gives
+    ``cls``; ``seen`` holds the lines accessed before this one."""
+    nxt, got = access(state, line, config)
+    if got is cls:
+        return [_trim(nxt)]
+    if line in seen:
+        return []
+    # An unseen line is never resident, so ``access`` missed where a Hit
+    # was observed: the line is one of the ``?``s.
+    gaps = config.capacity - len(state)
+    if config.policy is ReplacementPolicy.PROMOTE_ON_HIT:
+        gaps = min(gaps, 1)  # the hit moves it to the front from any gap
+    guesses = [
+        state[:i] + (line,) + state[i + 1 :]
+        for i, slot in enumerate(state)
+        if slot is None
+    ]
+    guesses += [state + (None,) * gap + (line,) for gap in range(gaps)]
+    return [_trim(access(guess, line, config)[0]) for guess in guesses]
+
+
+def _trim(state: SymbolicState) -> SymbolicState:
+    """Drop the trailing ``?``s, which the capacity implies."""
+    end = len(state)
+    while end and state[end - 1] is None:
+        end -= 1
+    return state[:end]
 
 
 def validate_state(state: CacheState, config: CacheConfig) -> None:

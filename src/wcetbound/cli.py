@@ -394,6 +394,8 @@ def cmd_sweep(args) -> list[Record]:
             raise ValidationError(f"sweep modes are explicit/abstract, got {mode!r}")
     if not modes:
         raise ValidationError("sweep needs at least one mode")
+    if "abstract" in modes:
+        from_pattern(args.pattern, ())  # a bad pattern fails before the header
 
     records: list[Record] = [
         (

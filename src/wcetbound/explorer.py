@@ -44,7 +44,6 @@ class ExplorationResult:
     wcet: int
     witness: ClassifiedTrace
     states_explored: int
-    mode: str
 
 
 class _Frame:
@@ -154,7 +153,7 @@ def explore_explicit(
     if best is None:
         # Unreachable: Program validation guarantees a nonempty language.
         raise AssertionError("validated program has no run")
-    return ExplorationResult(best[0], best[1], states, "explicit")
+    return ExplorationResult(best[0], best[1], states)
 
 
 def explore_abstract(
@@ -189,4 +188,4 @@ def explore_abstract(
         raise AbstractModelEmpty(
             "the model allows no complete run of the program"
         )
-    return ExplorationResult(best[0], best[1], states, "abstract")
+    return ExplorationResult(best[0], best[1], states)

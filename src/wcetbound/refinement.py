@@ -12,17 +12,15 @@ arrangement per filler renaming: the fillers of a state are always the
 lowest unused ids, in increasing order.
 
 Infeasible cores are found without that family, by a forward sweep over
-the set of *symbolic* cache states that realize a window so far.  A slot
-holds a known line or ``?``, an anonymous resident that no access in the
-window has touched, and the unknown start state is all ``?``s.  A resident
-line hits; a line seen earlier in the window and not resident misses; an
-unseen line may miss, or hit by naming one ``?``.  Every initial state is
-an assignment of distinct lines (or never-accessed fillers) to the
-``?``s, so a window is feasible exactly when its sweep keeps some state.
-Infeasibility is monotone under extension: a state realizing a window
-also realizes each of its infixes, from the cache it holds when that
-infix begins.  So the shortest, then leftmost, core is found by extending
-each start until its set of states empties.
+the set of *symbolic* cache states that realize a window so far: their
+``?`` slots stand for residents of the unknown start state, which is all
+``?``s, and ``cache.symbolic_access`` gives the step rules.  Every
+initial state is an assignment of distinct lines (or never-accessed
+fillers) to the ``?``s, so a window is feasible exactly when its sweep
+keeps some state.  Infeasibility is monotone under extension: a state
+realizing a window also realizes each of its infixes, from the cache it
+holds when that infix begins.  So the shortest, then leftmost, core is
+found by extending each start until its set of states empties.
 
 Refinement starts from the universal model and repeatedly removes the
 contains-infix closure of a minimal all-state-infeasible core of the
@@ -40,20 +38,16 @@ from typing import Iterator
 from .cache import (
     CacheConfig,
     CacheState,
-    Classification,
     ClassifiedTrace,
-    ReplacementPolicy,
+    SymbolicState,
     access,
+    symbolic_access,
 )
 from .classifier import hit_or_miss, infix_language, subtract
 from .errors import IterationBudgetExceeded, ValidationError
 from .explorer import explore_abstract
 from .program import Program
 from .timing import trace_time
-
-
-# A symbolic cache state: known lines and None for ``?``, most recent first.
-SymbolicState = tuple[int | None, ...]
 
 
 @dataclass(frozen=True)
@@ -183,17 +177,9 @@ def infeasible_core(
     monotone under extension (a state realizing a window realizes each of
     its infixes too), so the infeasible windows of one start are those of
     at least some length.  One sweep per start finds that length: it
-    extends the window over the set of symbolic states that realize it
-    until the set empties, and gives up at the best length so far.  A
-    slot holds a known line or ``?``, a resident that no access in the
-    window has touched.  The step rules:
-
-    - a resident line is a Hit; under promote it moves to the front;
-    - a line seen earlier in the window that is not resident is a Miss,
-      inserted at the front;
-    - an unseen line may Miss, or Hit by naming one ``?``: under promote
-      the named line moves to the front, under fifo it is named in place;
-    - an empty set of states means the window is infeasible.
+    extends the window over the set of symbolic states that realize it,
+    stepped by ``cache.symbolic_access``, until the set empties, and gives
+    up at the best length so far.
 
     The whole trace qualifies whenever the precondition holds (the trace
     is realized by no state), so a core is always found.
@@ -215,74 +201,20 @@ def _unrealized_length(
     window: ClassifiedTrace, config: CacheConfig
 ) -> int | None:
     """Length of the shortest prefix of ``window`` that no state realizes,
-    or None when every prefix is feasible, by the step rules of
-    ``infeasible_core``.
-
-    A state is a tuple, most recent first, of known lines and ``None`` for
-    ``?``.  The ``?``s that fill it up to capacity are left implicit, so
-    the start state is ``()`` and no state ends in ``None``.  Under
-    promote every known line entered at the front, so the ``?``s all
-    trail the known lines and naming any of them gives one state.
-    """
-    capacity = config.capacity
-    promote = config.policy is ReplacementPolicy.PROMOTE_ON_HIT
+    or None when every prefix is feasible.  The start state ``()`` is all
+    ``?``s."""
     states: set[SymbolicState] = {()}
     seen: set[int] = set()
     for length, a in enumerate(window, 1):
-        line = a.line
-        if a.cls is Classification.MISS:
-            states = {
-                _insert(state, line, capacity)
-                for state in states
-                if line not in state
-            }
-        elif line in seen:
-            states = {
-                _promote(state, line) if promote else state
-                for state in states
-                if line in state
-            }
-        elif promote:
-            states = {
-                (line,) + state for state in states if len(state) < capacity
-            }
-        else:
-            states = {
-                named
-                for state in states
-                for named in _name_in_place(state, line, capacity)
-            }
+        states = {
+            nxt
+            for state in states
+            for nxt in symbolic_access(state, a.line, a.cls, seen, config)
+        }
         if not states:
             return length
-        seen.add(line)
+        seen.add(a.line)
     return None
-
-
-def _insert(state: SymbolicState, line: int, capacity: int) -> SymbolicState:
-    """A miss: ``line`` enters at the front and the last slot leaves."""
-    state = (line,) + state[: capacity - 1]
-    while state[-1] is None:
-        state = state[:-1]
-    return state
-
-
-def _promote(state: SymbolicState, line: int) -> SymbolicState:
-    """A promote hit: the resident ``line`` moves to the front."""
-    i = state.index(line)
-    return (line,) + state[:i] + state[i + 1 :]
-
-
-def _name_in_place(
-    state: SymbolicState, line: int, capacity: int
-) -> Iterator[SymbolicState]:
-    """Every way the unseen ``line`` can hit under fifo: it names one
-    ``?`` in place, the implicit ones included, so there are up to
-    ``capacity`` successors."""
-    for i, slot in enumerate(state):
-        if slot is None:
-            yield state[:i] + (line,) + state[i + 1 :]
-    for gap in range(capacity - len(state)):
-        yield state + (None,) * gap + (line,)
 
 
 def run_refinement(

@@ -4,12 +4,16 @@ The reference walk below models the cache the way a hardware table
 would: a fixed-size array with empty slots, explicit shift loops for
 insertion and promotion.  The production code uses variable-length
 tuples instead; agreement between the two on random access sequences is
-the main correctness evidence.
+the main correctness evidence.  The symbolic step, whose ``?`` slots
+stand for unknown residents, is checked on fixed cases and against
+``access`` on states with no ``?``.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcetbound import (
     CacheConfig,
@@ -20,6 +24,7 @@ from wcetbound import (
     simulate,
     validate_state,
 )
+from wcetbound.cache import symbolic_access
 
 EMPTY = -1
 
@@ -208,3 +213,67 @@ def test_determinism():
     config = CacheConfig(capacity=3)
     pcs = (1, 2, 3, 1, 4, 2, 2, 5)
     assert simulate(config, (), pcs) == simulate(config, (), pcs)
+
+
+# ---------------------------------------------------------------------------
+# The symbolic step: None is a ``?`` slot, trailing ``?``s are implicit.
+
+PROMOTE = ReplacementPolicy.PROMOTE_ON_HIT
+FIFO = ReplacementPolicy.PURE_FIFO
+H, M = Classification.HIT, Classification.MISS
+
+
+def test_symbolic_resident_hit_follows_access():
+    for policy, want in ((PROMOTE, (2, 1)), (FIFO, (1, 2))):
+        config = CacheConfig(capacity=3, policy=policy)
+        assert symbolic_access((1, 2), 2, H, {1, 2}, config) == [want]
+        assert symbolic_access((1, 2), 2, M, {1, 2}, config) == []
+
+
+def test_symbolic_seen_line_not_resident_can_only_miss():
+    for policy in ReplacementPolicy:
+        config = CacheConfig(capacity=2, policy=policy)
+        assert symbolic_access((1,), 3, H, {1, 3}, config) == []
+        assert symbolic_access((1,), 3, M, {1, 3}, config) == [(3, 1)]
+
+
+def test_symbolic_unseen_fifo_hit_names_each_question_mark_in_place():
+    config = CacheConfig(capacity=5, policy=FIFO)
+    got = symbolic_access((1, None, 2), 7, H, {1, 2}, config)
+    assert got == [(1, 7, 2), (1, None, 2, 7), (1, None, 2, None, 7)]
+    # a full cache with no ``?`` leaves no room for an unseen hit
+    assert symbolic_access((1, 2), 7, H, {1, 2}, CacheConfig(2, policy=FIFO)) == []
+
+
+def test_symbolic_unseen_promote_hit_has_one_successor():
+    config = CacheConfig(capacity=4, policy=PROMOTE)
+    assert symbolic_access((1, 2), 7, H, {1, 2}, config) == [(7, 1, 2)]
+    assert symbolic_access((), 7, H, set(), config) == [(7,)]
+    assert symbolic_access((1, 2), 7, M, {1, 2}, config) == [(7, 1, 2)]
+    assert symbolic_access((1, 2), 7, H, {1, 2}, CacheConfig(2)) == []
+
+
+def test_symbolic_miss_leaves_no_trailing_question_mark():
+    for state in ((1, None, 2), (1, None, None, 2)):
+        config = CacheConfig(capacity=len(state), policy=FIFO)
+        assert symbolic_access(state, 5, M, {1, 2}, config) == [(5, 1)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.sampled_from(list(ReplacementPolicy)),
+    st.lists(st.integers(0, 5), max_size=4, unique=True),
+    st.integers(0, 5),
+    st.sampled_from([H, M]),
+    st.sets(st.integers(0, 5)),
+)
+def test_symbolic_step_is_access_on_known_states(
+    capacity, policy, state, line, cls, more_seen
+):
+    config = CacheConfig(capacity=capacity, policy=policy)
+    state = tuple(state[:capacity])
+    seen = set(state) | {line} | more_seen
+    nxt, got = access(state, line, config)
+    want = [nxt] if got is cls else []
+    assert symbolic_access(state, line, cls, seen, config) == want

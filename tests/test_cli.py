@@ -489,6 +489,22 @@ def test_sweep_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_sweep_rejects_a_bad_pattern_before_printing(tmp_path, capsys):
+    rec = tmp_path / "r.rec"
+    for modes in ("explicit,abstract", "abstract"):
+        argv = ["sweep", "--branches", "0..1", "--pattern", "(",
+                "--modes", modes, "--out", str(rec)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "'('" in err
+    assert not rec.exists()
+    # explicit alone never reads the pattern
+    assert main(["sweep", "--iterations", "1", "--branches", "1",
+                 "--pattern", "(", "--modes", "explicit"]) == 0
+    capsys.readouterr()
+
+
 def test_refine_iteration_lines_match_their_records(tmp_path, capsys):
     prog = write(tmp_path, "chain.prog", CHAIN_121)
     rec = str(tmp_path / "r.rec")

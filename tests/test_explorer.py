@@ -73,7 +73,6 @@ def test_fork_wcet_and_witness():
     assert res.wcet == 46
     assert [a.pc for a in res.witness] == [1, 2, 3, 6]
     assert all(a.cls is M for a in res.witness)
-    assert res.mode == "explicit"
     # the other branch is exactly two execute cycles cheaper
     other = simulate(config, (), (1, 4, 5, 6))
     assert trace_time(other, program.durations, config) == 44
@@ -198,7 +197,6 @@ def test_unconstrained_model_gives_the_all_miss_bound():
             for seq in oracle_runs(program, 64)
         )
         assert res.wcet == want
-        assert res.mode == "abstract"
 
 
 def test_abstract_bounds_explicit_from_above():
