@@ -13,8 +13,8 @@ unknown start state that no access has touched yet.  The ``?``s that
 fill a symbolic state up to capacity are left implicit, so a fully
 unknown cache is ``()`` and no state ends in ``?``.  ``access`` works
 unchanged on such states: a ``?`` matches no line, and a miss pushes out
-the last slot, known or ``?``.  ``symbolic_access`` steps one observed
-classification on top of it:
+the last slot, known or ``?``.  ``symbolic_step`` steps a set of such
+states by one observed classification on top of it; each state gives
 
 - the ``access`` successor, when ``access`` gives that classification
   (trailing ``?``s trimmed);
@@ -128,40 +128,40 @@ def access(
     return state, Classification.HIT
 
 
-def symbolic_access(
-    state: SymbolicState,
+def symbolic_step(
+    states: set[SymbolicState],
     line: int,
     cls: Classification,
     seen: set[int],
     config: CacheConfig,
-) -> list[SymbolicState]:
-    """The successors of ``state`` on which an access to ``line`` gives
+) -> set[SymbolicState]:
+    """The successors of ``states`` on which an access to ``line`` gives
     ``cls``; ``seen`` holds the lines accessed before this one."""
-    nxt, got = access(state, line, config)
-    if got is cls:
-        return [_trim(nxt)]
-    if line in seen:
-        return []
-    # An unseen line is never resident, so ``access`` missed where a Hit
-    # was observed: the line is one of the ``?``s.
-    gaps = config.capacity - len(state)
-    if config.policy is ReplacementPolicy.PROMOTE_ON_HIT:
-        gaps = min(gaps, 1)  # the hit moves it to the front from any gap
-    guesses = [
-        state[:i] + (line,) + state[i + 1 :]
-        for i, slot in enumerate(state)
-        if slot is None
-    ]
-    guesses += [state + (None,) * gap + (line,) for gap in range(gaps)]
-    return [_trim(access(guess, line, config)[0]) for guess in guesses]
-
-
-def _trim(state: SymbolicState) -> SymbolicState:
-    """Drop the trailing ``?``s, which the capacity implies."""
-    end = len(state)
-    while end and state[end - 1] is None:
-        end -= 1
-    return state[:end]
+    fresh = line not in seen
+    promote = config.policy is ReplacementPolicy.PROMOTE_ON_HIT
+    successors: set[SymbolicState] = set()
+    for state in states:
+        nxt, got = access(state, line, config)
+        if got is cls:
+            while nxt[-1] is None:  # the capacity implies trailing ``?``s
+                nxt = nxt[:-1]
+            successors.add(nxt)
+        elif fresh:
+            # An unseen line is never resident, so ``access`` missed where a
+            # Hit was observed: the line is one of the ``?``s.  Naming it
+            # adds no trailing ``?``: ``state`` has none, and a named
+            # implicit ``?`` ends the guess.
+            gaps = config.capacity - len(state)
+            if promote:
+                gaps = min(gaps, 1)  # the hit moves it to the front from any gap
+            guesses = [
+                state[:i] + (line,) + state[i + 1 :]
+                for i, slot in enumerate(state)
+                if slot is None
+            ]
+            guesses += [state + (None,) * gap + (line,) for gap in range(gaps)]
+            successors.update(access(guess, line, config)[0] for guess in guesses)
+    return successors
 
 
 def validate_state(state: CacheState, config: CacheConfig) -> None:

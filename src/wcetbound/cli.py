@@ -15,11 +15,19 @@ rows, fully deterministic (sorted, no timestamps), documented in the
 README.  Each subcommand computes every reported value once, prints its
 human line and appends its record from that one value, and returns the
 records; ``main`` writes them.
+
+Usage rules live in the parser: ``wcet`` has one sub-parser per analysis,
+each subcommand and analysis declares only the flags it reads, and every
+option value is parsed by the ``type=`` function it is declared with, so a
+bad one is a usage error.  The handlers compute and report; they raise only
+for rules that need file contents or the cache config.  ``main`` builds the
+parser once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Iterable, Sequence
@@ -35,7 +43,7 @@ from .cache import (
     simulate,
     validate_state,
 )
-from .classifier import ClassifierAutomaton, from_pattern, parse_model
+from .classifier import from_pattern, parse_model
 from .errors import (
     AnalysisError,
     BoundExceeded,
@@ -77,15 +85,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-class _NonNegative(argparse.Action):
-    """Stores an int option, rejecting a negative value as a usage error."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            parser.error(f"argument {option_string}: must be >= 0, got {value}")
-        setattr(namespace, self.dest, value)
 
 
 def _render_records(records: Iterable[Record]) -> str:
@@ -161,23 +160,6 @@ def _config_from_args(args) -> CacheConfig:
     )
 
 
-def _parse_init(text: str) -> CacheState | None:
-    """The cache state an ``--init`` value names; None for unknown."""
-    if text == "empty":
-        return ()
-    if text == "unknown":
-        return None
-    if text.startswith("state="):
-        body = text[len("state="):]
-        try:
-            return tuple(int(tok) for tok in body.split(",") if tok != "")
-        except ValueError:
-            raise ValidationError(f"bad --init line list: {body!r}") from None
-    raise ValidationError(
-        f"--init must be empty, unknown, or state=<lines>, got {text!r}"
-    )
-
-
 def _init_token(state: CacheState | None) -> str:
     return "unknown" if state is None else _state_token(state)
 
@@ -215,19 +197,6 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path!r}: {exc}") from None
 
 
-def _load_model(
-    args, program: Program, config: CacheConfig
-) -> ClassifierAutomaton:
-    lines = program.lines(config)
-    if args.pattern is not None and args.model is not None:
-        raise ValidationError("give --pattern or --model, not both")
-    if args.pattern is not None:
-        return from_pattern(args.pattern, lines)
-    if args.model is not None:
-        return parse_model(_read_file(args.model), lines=lines)
-    raise ValidationError("abstract mode needs --pattern or --model")
-
-
 def _steps_records(
     trace: ClassifiedTrace, durations, config: CacheConfig
 ) -> list[Record]:
@@ -256,27 +225,13 @@ def _steps_records(
 def cmd_wcet(args) -> list[Record]:
     config = _config_from_args(args)
     program = parse_program(_read_file(args.program))
-    default_init = "unknown" if args.analysis == "refine" else "empty"
-    init = _parse_init(default_init if args.init is None else args.init)
+    init = args.init
     if init:
         validate_state(init, config)
-    if args.analysis in ("explicit", "abstract") and init is None:
-        raise ValidationError(
-            "--init unknown needs the refine analysis; explicit and abstract "
-            "modes analyze a known initial state"
-        )
-    if args.analysis != "abstract" and (args.pattern or args.model):
-        raise ValidationError(
-            f"--pattern/--model apply to abstract mode, not {args.analysis}"
-        )
-
     if args.analysis == "abstract":
-        if init:
-            raise ValidationError(
-                "abstract mode ignores cache contents; --init state=... "
-                "is not meaningful here"
-            )
-        model = _load_model(args, program, config)
+        lines = program.lines(config)
+        model = (from_pattern(args.pattern, lines) if args.model is None
+                 else parse_model(_read_file(args.model), lines=lines))
     _bounded(program, args.max_len)
 
     started = time.perf_counter()
@@ -340,17 +295,8 @@ def cmd_wcet(args) -> list[Record]:
 
 
 def cmd_example(args) -> None:
-    durations: dict[int, int] = {}
-    for pair in args.dur or ():
-        pc_text, sep, dur_text = pair.partition("=")
-        if not sep:
-            raise ValidationError(f"--dur takes pc=cycles, got {pair!r}")
-        try:
-            durations[int(pc_text)] = int(dur_text)
-        except ValueError:
-            raise ValidationError(f"--dur takes integers, got {pair!r}") from None
     program = branching_loop_program(
-        args.iterations, args.branches, durations or None, name=args.name
+        args.iterations, args.branches, dict(args.dur or ()) or None, name=args.name
     )
     text = serialize_program(program)
     if args.out:
@@ -367,35 +313,15 @@ def cmd_example(args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    try:
-        if sep:
-            return int(lo), int(hi)
-        return int(text), int(text)
-    except ValueError:
-        raise ValidationError(f"bad range {text!r}, expected N or LO..HI") from None
-
-
 def cmd_sweep(args) -> list[Record]:
     config = _config_from_args(args)
-    lo, hi = _parse_range(args.branches)
-    if lo < 0 or hi < lo:
-        raise ValidationError(f"bad branch range {args.branches!r}")
+    lo, hi = args.branches
     analyses = {
         "explicit": lambda program: explore_explicit(program, config),
         "abstract": lambda program: explore_abstract(
             program, from_pattern(args.pattern, program.lines(config)), config
         ),
     }
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in analyses:
-            raise ValidationError(f"sweep modes are explicit/abstract, got {mode!r}")
-    if not modes:
-        raise ValidationError("sweep needs at least one mode")
-    if "abstract" in modes:
-        from_pattern(args.pattern, ())  # a bad pattern fails before the header
 
     records: list[Record] = [
         (
@@ -405,7 +331,7 @@ def cmd_sweep(args) -> list[Record]:
                 ("iterations", args.iterations),
                 ("branches_lo", lo),
                 ("branches_hi", hi),
-                ("modes", ",".join(modes)),
+                ("modes", ",".join(args.modes)),
                 # Whitespace means nothing in a pattern, and record values
                 # may not hold any.
                 ("pattern", "".join(args.pattern.split())),
@@ -413,9 +339,11 @@ def cmd_sweep(args) -> list[Record]:
         ),
         _config_record(config, "empty", args),
     ]
-    columns = [mode for mode in analyses if mode in modes]  # table order, not --modes
+    # columns in table order, not --modes order
+    columns = [mode for mode in analyses if mode in args.modes]
     header = "".join(f" {f'states({mode})':>17}" for mode in columns)
-    print(f"{'n':>4}{header} {'wcet':>8}")
+    # printed whole, so a row that fails leaves no output
+    table = [f"{'n':>4}{header} {'wcet':>8}"]
     for n in range(lo, hi + 1):
         program = branching_loop_program(args.iterations, n)
         fields: list[tuple[str, object]] = [("n", n)]
@@ -429,25 +357,16 @@ def cmd_sweep(args) -> list[Record]:
             wcets.append(result.wcet)
         marker = "" if len(set(wcets)) == 1 else " (!)"
         fields.append(("wcet", wcets[0]))
-        print(f"{row} {wcets[0]:>8}{marker}")
+        table.append(f"{row} {wcets[0]:>8}{marker}")
         records.append(("row", fields))
+    print("\n".join(table))
     return records
 
 
 def cmd_simulate(args) -> list[Record]:
     config = _config_from_args(args)
-    init = _parse_init("empty" if args.init is None else args.init)
-    if init is None:
-        raise ValidationError(
-            "simulate needs a concrete --init (empty or state=<lines>)"
-        )
-    if (args.program is None) == (args.pcs is None):
-        raise ValidationError("give a program file or --pcs, not both/neither")
     if args.pcs is not None:
-        try:
-            pcs = tuple(int(tok) for tok in args.pcs.split(",") if tok != "")
-        except ValueError:
-            raise ValidationError(f"bad --pcs list {args.pcs!r}") from None
+        pcs = args.pcs
         _check_max_len(len(pcs), args.max_len)
         durations = {pc: 1 for pc in pcs}
         source = [("source", "pcs")]
@@ -461,11 +380,11 @@ def cmd_simulate(args) -> list[Record]:
         durations = program.durations
         source = [("source", "program"), ("program", program.name)]
 
-    trace = simulate(config, init, pcs)
+    trace = simulate(config, args.init, pcs)
     steps = _steps_records(trace, durations, config)
     print(f"{'#':>3} {'pc':>6} {'line':>6} {'cls':>3} {'fetch':>6} {'exec':>6} {'clock':>8}")
     widths = (3, 6, 6, 3, 6, 6, 8)  # the fields of a step record, in order
-    state = init
+    state = args.init
     for a, (_, fields) in zip(trace, steps):
         state, _ = access(state, a.line, config)
         print(" ".join(f"{value:>{w}}" for (_, value), w in zip(fields, widths)))
@@ -475,7 +394,7 @@ def cmd_simulate(args) -> list[Record]:
     print(f"total time: {clock} cycles")
     return [
         ("run", [("command", "simulate")] + source),
-        _config_record(config, _init_token(init), args),
+        _config_record(config, _init_token(args.init), args),
         *steps,
         ("final", [("cache", cache), ("accesses", len(trace)), ("time", clock)]),
     ]
@@ -521,7 +440,71 @@ def cmd_feasibility(args) -> list[Record]:
     return records
 
 
+# Option types.  argparse turns their ArgumentTypeError into a usage error
+# that names the option.
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """A comma list of integers, as ``--pcs`` and ``--init state=`` take."""
+    return tuple(_int(tok) for tok in text.split(",") if tok != "")
+
+
+def _init_type(*words: str):
+    """An ``--init`` type: ``state=<lines>`` or one of ``words`` (empty,
+    unknown) names a cache state, None for unknown."""
+
+    def init(text: str) -> CacheState | None:
+        if text in words:
+            return None if text == "unknown" else ()
+        if text.startswith("state="):
+            return _ints(text[len("state="):])
+        raise argparse.ArgumentTypeError(
+            f"expected {' | '.join(words)} | state=<lines>, got {text!r}"
+        )
+
+    return init
+
+
+def _non_negative(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _branch_range(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    lo, hi = _int(lo), _int(hi if sep else lo)
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected 0 <= LO <= HI, got {text!r}")
+    return lo, hi
+
+
+def _modes(text: str) -> tuple[str, ...]:
+    modes = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not modes or not set(modes) <= {"explicit", "abstract"}:
+        raise argparse.ArgumentTypeError(f"expected explicit,abstract, got {text!r}")
+    return modes
+
+
+def _duration(text: str) -> tuple[int, int]:
+    pc, sep, cycles = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected PC=CYCLES, got {text!r}")
+    return _int(pc), _int(cycles)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves it unchanged, so ``main``
+    reuses it."""
     parser = _Parser(
         prog="wcetbound",
         description="Execution-time bounds on an instruction-cache + pipeline model",
@@ -538,20 +521,32 @@ def build_parser() -> argparse.ArgumentParser:
                         help="promote: move hit lines to the front; fifo: never reorder")
     shared.add_argument("--out", help="write a machine-readable report here")
     max_len = argparse.ArgumentParser(add_help=False)
-    max_len.add_argument("--max-len", type=int, default=10_000, dest="max_len",
-                         action=_NonNegative, help="longest program run to tolerate")
+    max_len.add_argument("--max-len", type=_non_negative, default=10_000,
+                         dest="max_len", help="longest program run to tolerate")
+    bounded = [shared, max_len]
 
-    p_wcet = sub.add_parser(
-        "wcet", parents=[shared, max_len], help="compute a worst-case execution time"
-    )
-    p_wcet.add_argument("--max-iters", type=int, default=10_000, dest="max_iters",
-                        help="refinement iteration budget")
-    p_wcet.add_argument("analysis", choices=["explicit", "abstract", "refine"])
-    p_wcet.add_argument("program", help="program file")
-    p_wcet.add_argument("--init", help="empty | unknown | state=<line,line,...>")
-    p_wcet.add_argument("--pattern", help='classification pattern, e.g. "(M.H.M.M)*"')
-    p_wcet.add_argument("--model", help="classifier automaton file")
-    p_wcet.set_defaults(handler=cmd_wcet)
+    p_wcet = sub.add_parser("wcet", help="compute a worst-case execution time")
+    analyses = p_wcet.add_subparsers(dest="analysis", required=True)
+
+    def analysis(name: str, help: str) -> argparse.ArgumentParser:
+        p = analyses.add_parser(name, parents=bounded, help=help)
+        p.add_argument("program", help="program file")
+        p.set_defaults(handler=cmd_wcet)
+        return p
+
+    p_explicit = analysis("explicit", "concrete cache states from a known start")
+    p_explicit.add_argument("--init", type=_init_type("empty"), default=(),
+                            help="empty | state=<line,line,...>")
+    p_abstract = analysis("abstract", "a classifier automaton instead of cache states")
+    classifier = p_abstract.add_mutually_exclusive_group(required=True)
+    classifier.add_argument("--pattern", help='classification pattern, e.g. "(M.H.M.M)*"')
+    classifier.add_argument("--model", help="classifier automaton file")
+    p_abstract.set_defaults(init=())  # reported as init=empty; no state is read
+    p_refine = analysis("refine", "refine the universal classifier for an unknown start")
+    p_refine.add_argument("--init", type=_init_type("empty", "unknown"), default=None,
+                          help="empty | unknown | state=<line,line,...>")
+    p_refine.add_argument("--max-iters", type=int, default=10_000, dest="max_iters",
+                          help="refinement iteration budget")
 
     p_example = sub.add_parser(
         "example", help="generate a branching-loop program file"
@@ -560,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="loop iterations (unrolled)")
     p_example.add_argument("--branches", type=int, default=1,
                            help="extra branch choices per iteration (choices = branches+1)")
-    p_example.add_argument("--dur", action="append", metavar="PC=CYCLES",
+    p_example.add_argument("--dur", action="append", type=_duration,
+                           metavar="PC=CYCLES",
                            help="override an instruction duration (repeatable)")
     p_example.add_argument("--name", default="branching-loop")
     p_example.add_argument("--out", help="program file to write (default: stdout)")
@@ -571,19 +567,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit vs abstract state counts over a branch-count range",
     )
     p_sweep.add_argument("--iterations", type=int, default=5)
-    p_sweep.add_argument("--branches", default="1..10", help="N or LO..HI")
+    p_sweep.add_argument("--branches", type=_branch_range, default=(1, 10),
+                         help="N or LO..HI (default 1..10)")
     p_sweep.add_argument("--pattern", default="(M.H.M.M)*",
                          help="abstract model for every row")
-    p_sweep.add_argument("--modes", default="explicit,abstract",
+    p_sweep.add_argument("--modes", type=_modes, default=("explicit", "abstract"),
                          help="comma list of explicit,abstract")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_sim = sub.add_parser(
-        "simulate", parents=[shared, max_len], help="classify one access sequence"
+        "simulate", parents=bounded, help="classify one access sequence"
     )
-    p_sim.add_argument("program", nargs="?", help="single-run program file")
-    p_sim.add_argument("--pcs", help="comma-separated pc sequence")
-    p_sim.add_argument("--init", help="empty | state=<line,line,...>")
+    source = p_sim.add_mutually_exclusive_group(required=True)
+    source.add_argument("program", nargs="?", help="single-run program file")
+    source.add_argument("--pcs", type=_ints, help="comma-separated pc sequence")
+    p_sim.add_argument("--init", type=_init_type("empty"), default=(),
+                       help="empty | state=<line,line,...>")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_feas = sub.add_parser(
@@ -596,9 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -14,7 +14,7 @@ lowest unused ids, in increasing order.
 Infeasible cores are found without that family, by a forward sweep over
 the set of *symbolic* cache states that realize a window so far: their
 ``?`` slots stand for residents of the unknown start state, which is all
-``?``s, and ``cache.symbolic_access`` gives the step rules.  Every
+``?``s, and ``cache.symbolic_step`` gives the step rules.  Every
 initial state is an assignment of distinct lines (or never-accessed
 fillers) to the ``?``s, so a window is feasible exactly when its sweep
 keeps some state.  Infeasibility is monotone under extension: a state
@@ -41,7 +41,7 @@ from .cache import (
     ClassifiedTrace,
     SymbolicState,
     access,
-    symbolic_access,
+    symbolic_step,
 )
 from .classifier import hit_or_miss, infix_language, subtract
 from .errors import IterationBudgetExceeded, ValidationError
@@ -178,7 +178,7 @@ def infeasible_core(
     its infixes too), so the infeasible windows of one start are those of
     at least some length.  One sweep per start finds that length: it
     extends the window over the set of symbolic states that realize it,
-    stepped by ``cache.symbolic_access``, until the set empties, and gives
+    stepped by ``cache.symbolic_step``, until the set empties, and gives
     up at the best length so far.
 
     The whole trace qualifies whenever the precondition holds (the trace
@@ -186,35 +186,19 @@ def infeasible_core(
     """
     best_len, best_start = len(trace) + 1, 0
     for start in range(len(trace)):
-        window = trace[start : start + best_len - 1]
-        length = _unrealized_length(window, config)
-        if length is not None:
-            best_len, best_start = length, start
+        states: set[SymbolicState] = {()}  # the unknown start state: all ``?``s
+        seen: set[int] = set()
+        for length, a in enumerate(trace[start : start + best_len - 1], 1):
+            states = symbolic_step(states, a.line, a.cls, seen, config)
+            if not states:
+                best_len, best_start = length, start
+                break
+            seen.add(a.line)
     if best_len > len(trace):
         raise ValidationError(
             "infeasible_core needs a trace no initial state realizes"
         )
     return trace[best_start : best_start + best_len]
-
-
-def _unrealized_length(
-    window: ClassifiedTrace, config: CacheConfig
-) -> int | None:
-    """Length of the shortest prefix of ``window`` that no state realizes,
-    or None when every prefix is feasible.  The start state ``()`` is all
-    ``?``s."""
-    states: set[SymbolicState] = {()}
-    seen: set[int] = set()
-    for length, a in enumerate(window, 1):
-        states = {
-            nxt
-            for state in states
-            for nxt in symbolic_access(state, a.line, a.cls, seen, config)
-        }
-        if not states:
-            return length
-        seen.add(a.line)
-    return None
 
 
 def run_refinement(

@@ -24,7 +24,7 @@ from wcetbound import (
     simulate,
     validate_state,
 )
-from wcetbound.cache import symbolic_access
+from wcetbound.cache import symbolic_step
 
 EMPTY = -1
 
@@ -226,37 +226,37 @@ H, M = Classification.HIT, Classification.MISS
 def test_symbolic_resident_hit_follows_access():
     for policy, want in ((PROMOTE, (2, 1)), (FIFO, (1, 2))):
         config = CacheConfig(capacity=3, policy=policy)
-        assert symbolic_access((1, 2), 2, H, {1, 2}, config) == [want]
-        assert symbolic_access((1, 2), 2, M, {1, 2}, config) == []
+        assert symbolic_step({(1, 2)}, 2, H, {1, 2}, config) == {want}
+        assert symbolic_step({(1, 2)}, 2, M, {1, 2}, config) == set()
 
 
 def test_symbolic_seen_line_not_resident_can_only_miss():
     for policy in ReplacementPolicy:
         config = CacheConfig(capacity=2, policy=policy)
-        assert symbolic_access((1,), 3, H, {1, 3}, config) == []
-        assert symbolic_access((1,), 3, M, {1, 3}, config) == [(3, 1)]
+        assert symbolic_step({(1,)}, 3, H, {1, 3}, config) == set()
+        assert symbolic_step({(1,)}, 3, M, {1, 3}, config) == {(3, 1)}
 
 
 def test_symbolic_unseen_fifo_hit_names_each_question_mark_in_place():
     config = CacheConfig(capacity=5, policy=FIFO)
-    got = symbolic_access((1, None, 2), 7, H, {1, 2}, config)
-    assert got == [(1, 7, 2), (1, None, 2, 7), (1, None, 2, None, 7)]
+    got = symbolic_step({(1, None, 2)}, 7, H, {1, 2}, config)
+    assert got == {(1, 7, 2), (1, None, 2, 7), (1, None, 2, None, 7)}
     # a full cache with no ``?`` leaves no room for an unseen hit
-    assert symbolic_access((1, 2), 7, H, {1, 2}, CacheConfig(2, policy=FIFO)) == []
+    assert symbolic_step({(1, 2)}, 7, H, {1, 2}, CacheConfig(2, policy=FIFO)) == set()
 
 
 def test_symbolic_unseen_promote_hit_has_one_successor():
     config = CacheConfig(capacity=4, policy=PROMOTE)
-    assert symbolic_access((1, 2), 7, H, {1, 2}, config) == [(7, 1, 2)]
-    assert symbolic_access((), 7, H, set(), config) == [(7,)]
-    assert symbolic_access((1, 2), 7, M, {1, 2}, config) == [(7, 1, 2)]
-    assert symbolic_access((1, 2), 7, H, {1, 2}, CacheConfig(2)) == []
+    assert symbolic_step({(1, 2)}, 7, H, {1, 2}, config) == {(7, 1, 2)}
+    assert symbolic_step({()}, 7, H, set(), config) == {(7,)}
+    assert symbolic_step({(1, 2)}, 7, M, {1, 2}, config) == {(7, 1, 2)}
+    assert symbolic_step({(1, 2)}, 7, H, {1, 2}, CacheConfig(2)) == set()
 
 
 def test_symbolic_miss_leaves_no_trailing_question_mark():
     for state in ((1, None, 2), (1, None, None, 2)):
         config = CacheConfig(capacity=len(state), policy=FIFO)
-        assert symbolic_access(state, 5, M, {1, 2}, config) == [(5, 1)]
+        assert symbolic_step({state}, 5, M, {1, 2}, config) == {(5, 1)}
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -275,5 +275,5 @@ def test_symbolic_step_is_access_on_known_states(
     state = tuple(state[:capacity])
     seen = set(state) | {line} | more_seen
     nxt, got = access(state, line, config)
-    want = [nxt] if got is cls else []
-    assert symbolic_access(state, line, cls, seen, config) == want
+    want = {nxt} if got is cls else set()
+    assert symbolic_step({state}, line, cls, seen, config) == want

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, human output, machine records."""
 
+import re
 import resource
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from wcetbound import (
     serialize_program,
 )
 from wcetbound import program as program_module
-from wcetbound.cli import main
+from wcetbound.cli import build_parser, main
 
 CHAIN_121 = """\
 program chain
@@ -275,6 +276,10 @@ def test_usage_and_validation_failures_exit_one(tmp_path, capsys):
         ["simulate", "--pcs", "1", "--max-iters", "0"],
         ["feasibility", trace, "--max-len", "1"],
         ["feasibility", trace, "--max-iters", "0"],
+        # each wcet analysis takes only the flags it reads
+        ["wcet", "explicit", prog, "--max-iters", "0"],
+        ["wcet", "abstract", prog, "--pattern", "M*", "--max-iters", "0"],
+        ["wcet", "abstract", prog, "--pattern", "M*", "--init", "empty"],
         # a run length is never negative
         ["wcet", "explicit", prog, "--max-len", "-1"],
         ["simulate", prog, "--max-len", "-1"],
@@ -335,6 +340,47 @@ def test_exhausted_budget_exits_three(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "wcetbound" in capsys.readouterr().out
+
+
+SHARED_WCET_FLAGS = {"-h", "--help", "--capacity", "--line-size", "--hit", "--miss",
+                     "--policy", "--out", "--max-len"}
+
+
+@pytest.mark.parametrize("analysis, own", [
+    ("explicit", {"--init"}),
+    ("abstract", {"--pattern", "--model"}),
+    ("refine", {"--init", "--max-iters"}),
+])
+def test_wcet_help_lists_only_the_flags_of_its_analysis(capsys, analysis, own):
+    assert main(["wcet", analysis, "--help"]) == 0
+    flags = re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out)
+    assert set(flags) == SHARED_WCET_FLAGS | own
+
+
+def test_repeated_calls_share_no_parsed_state(tmp_path, capsys):
+    # main parses every call with one parser; no value of one call, such
+    # as an appended --dur, may reach the next
+    assert build_parser() is build_parser()
+    out = str(tmp_path / "d.prog")
+    argv = ["example", "--iterations", "1", "--branches", "0", "--out", out]
+    calls = [
+        ([], None),
+        (["--dur", "1=7"], {1: 7}),
+        ([], None),
+        (["--dur", "2=5", "--dur", "3=4"], {2: 5, 3: 4}),
+        (["--dur", "3=6"], {3: 6}),
+    ]
+    for dur, durations in calls:
+        assert main(argv + dur) == 0
+        want = branching_loop_program(1, 0, durations)
+        assert parse_program(open(out).read()) == want, dur
+    prog = write(tmp_path, "chain.prog", CHAIN_121)
+    for argv in (["simulate", "--pcs", "1,2"], ["simulate", prog],
+                 ["wcet", "refine", prog, "--init", "state=1"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["wcet", "explicit", prog]) == 0
+    assert "\ninit: empty\n" in capsys.readouterr().out
 
 
 def test_simulate_pcs_table(tmp_path, capsys):
@@ -503,6 +549,18 @@ def test_sweep_rejects_a_bad_pattern_before_printing(tmp_path, capsys):
     assert main(["sweep", "--iterations", "1", "--branches", "1",
                  "--pattern", "(", "--modes", "explicit"]) == 0
     capsys.readouterr()
+
+
+def test_sweep_prints_nothing_when_a_row_fails(tmp_path, capsys):
+    # "H" parses, but no complete run is all hits; the first abstract row
+    # finds that, and no table line may be printed before it
+    rec = tmp_path / "r.rec"
+    assert main(["sweep", "--iterations", "1", "--branches", "0..1",
+                 "--pattern", "H", "--out", str(rec)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the model allows no complete run of the program\n"
+    assert not rec.exists()
 
 
 def test_refine_iteration_lines_match_their_records(tmp_path, capsys):
