@@ -53,10 +53,7 @@ from .errors import (
 )
 from .explorer import explore_abstract, explore_explicit
 from .program import (
-    Adjacency,
-    Program,
     branching_loop_program,
-    ensure_bounded,
     longest_run,
     parse_program,
     serialize_program,
@@ -126,13 +123,6 @@ def _check_max_len(length: int, max_len: int) -> None:
         raise BoundExceeded(f"a run longer than max_len={max_len} exists")
 
 
-def _bounded(program: Program, max_len: int) -> Adjacency:
-    """``ensure_bounded``'s adjacency, once no run is longer than ``max_len``."""
-    adjacency = ensure_bounded(program)
-    _check_max_len(longest_run(program, adjacency), max_len)
-    return adjacency
-
-
 def _config_record(config: CacheConfig, init_text: str, args) -> Record:
     bounds = [(key, getattr(args, key)) for key in ("max_len", "max_iters")
               if key in vars(args)]
@@ -180,6 +170,8 @@ def parse_trace_text(text: str, config: CacheConfig) -> ClassifiedTrace:
             pc = int(tokens[0][3:])
         except ValueError:
             raise ParseError("pc must be an integer", line_no) from None
+        if pc < 1:
+            raise ParseError(f"pc must be >= 1, got {pc}", line_no)
         letter = tokens[1][4:]
         try:
             cls = Classification.from_letter(letter)
@@ -232,7 +224,7 @@ def cmd_wcet(args) -> list[Record]:
         lines = program.lines(config)
         model = (from_pattern(args.pattern, lines) if args.model is None
                  else parse_model(_read_file(args.model), lines=lines))
-    _bounded(program, args.max_len)
+    _check_max_len(longest_run(program), args.max_len)
 
     started = time.perf_counter()
     if args.analysis == "explicit":
@@ -372,7 +364,8 @@ def cmd_simulate(args) -> list[Record]:
         source = [("source", "pcs")]
     else:
         program = parse_program(_read_file(args.program))
-        pcs = single_run(program, _bounded(program, args.max_len))
+        _check_max_len(longest_run(program), args.max_len)
+        pcs = single_run(program)
         if pcs is None:
             raise ValidationError(
                 f"program {program.name} has several runs; pick one with --pcs"

@@ -7,16 +7,24 @@ plus the witness trace attaining it.  Since the residual depends only on
 the product state, states differing in accumulated clock merge, which is
 what keeps counts far below the run count.
 
+The walk is one memoized post-order over a plain stack of product states.
+A state is expanded when it first reaches the top: its successor list waits
+in ``pending`` and its successors that are not yet memoized go on the
+stack.  Once they are all memoized it is back on top and is combined from
+their entries.  A state pushed twice is skipped once memoized.
+
 Memo format: a product state maps to ``(time, first step, next state)`` of
 its best run, to ``(0, None, None)`` at the end location, or to None when
 no complete run leaves it.  The witness is read off this chain once.
 
-Determinism: edges are expanded in ascending (pc, destination) order and
-ties between equal-time witnesses go to the lexicographically least trace
-(per step: smaller pc first, Hit before Miss).  Equal first steps (one pc,
-two destinations) are settled by walking both chains in lockstep to the
-first differing step, an end (the shorter trace is less) or a merge (equal
-traces: the first found stays).
+Determinism: an entry depends only on its successors' final entries, so
+the order of the walk changes no answer.  Successors are combined in
+ascending (pc, destination) order, and ties between equal-time witnesses
+go to the lexicographically least trace (per step: smaller pc first, Hit
+before Miss).  Equal first steps (one pc, two destinations) are settled by
+walking both chains in lockstep to the first differing step, an end (the
+shorter trace is less) or a merge (equal traces: the first combined
+stays).
 """
 
 from __future__ import annotations
@@ -46,16 +54,6 @@ class ExplorationResult:
     states_explored: int
 
 
-class _Frame:
-    __slots__ = ("key", "succ", "idx", "best")
-
-    def __init__(self, key):
-        self.key = key
-        self.succ = None
-        self.idx = 0
-        self.best = None
-
-
 def _precedes(memo: dict, a: tuple, b: tuple) -> bool:
     """Is the run of memo entry ``a`` less than the equal-time run of ``b``?"""
     while True:
@@ -75,9 +73,9 @@ def _best_runs(
     start,
     outcomes: Callable[[object, int], Iterable[tuple[Classification, object]]],
 ) -> tuple[tuple[int, ClassifiedTrace] | None, int]:
-    """Iterative memoized DFS over the acyclic product graph from
-    ``(program.entry, start)``.  ``outcomes(component, line)`` lists the
-    (classification, next component) choices of one access, Hit first.
+    """Memoized post-order from ``(program.entry, start)``.
+    ``outcomes(component, line)`` lists the (classification, next component)
+    choices of one access, Hit first.
 
     Returns ((max residual time, lexicographically least witness), states
     expanded); the first component is None when no complete run exists.
@@ -85,48 +83,44 @@ def _best_runs(
     edges = ensure_bounded(program)
     durations = program.durations
     memo: dict = {}
-    missing = object()
+    pending: dict = {}
     root = (program.entry, start)
-    stack = [_Frame(root)]
+    stack = [root]
     while stack:
-        frame = stack[-1]
-        if frame.succ is None:
-            loc, comp = frame.key
-            if loc == program.end:
-                memo[frame.key] = (0, None, None)
-                stack.pop()
-                continue
-            frame.succ = []
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        succ = pending.pop(key, None)
+        if succ is None:
+            loc, comp = key
+            succ = []
+            depth = len(stack)
             for pc, dst in edges.get(loc, ()):
                 line = config.line_of(pc)
-                for cls, nxt in outcomes(comp, line):
+                for cls, after in outcomes(comp, line):
                     cost = step_cost(pc, cls, durations, config).total
-                    frame.succ.append(
-                        (ClassifiedAccess(pc, line, cls), cost, (dst, nxt))
-                    )
-        advanced = False
-        while frame.idx < len(frame.succ):
-            step, cost, nxt = frame.succ[frame.idx]
-            sub = memo.get(nxt, missing)
-            if sub is missing:
-                stack.append(_Frame(nxt))
-                advanced = True
-                break
-            frame.idx += 1
+                    nxt = (dst, after)
+                    succ.append((ClassifiedAccess(pc, line, cls), cost, nxt))
+                    if nxt not in memo:
+                        stack.append(nxt)
+            if len(stack) > depth:
+                pending[key] = succ
+                continue
+        stack.pop()
+        best = (0, None, None) if key[0] == program.end else None
+        for step, cost, nxt in succ:
+            sub = memo[nxt]
             if sub is None:
                 continue
             cand = (cost + sub[0], step, nxt)
-            best = frame.best
             if (
                 best is None
                 or cand[0] > best[0]
                 or (cand[0] == best[0] and _precedes(memo, cand, best))
             ):
-                frame.best = cand
-        if advanced:
-            continue
-        memo[frame.key] = frame.best
-        stack.pop()
+                best = cand
+        memo[key] = best
     best = entry = memo[root]
     if best is None:
         return None, len(memo)

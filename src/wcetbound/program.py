@@ -6,6 +6,10 @@ from the entry location to the end location.  Loop counters are part of the
 location identity, so bounded loops appear unrolled and the automaton of a
 bounded program is acyclic.
 
+One cached walk per ``Program`` instance, a post-order from the entry over
+the locations that can reach the end, finds any cycle there and the longest
+run; ``ensure_bounded``, ``longest_run`` and ``single_run`` read its result.
+
 Also provides the parametric branching-loop generator used throughout the
 test corpus, and the text file format.
 """
@@ -14,16 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .cache import CacheConfig
 from .errors import BoundExceeded, ParseError, ValidationError
+
+Adjacency = dict[str, tuple[tuple[int, str], ...]]
 
 
 class Edge(NamedTuple):
     src: str
     pc: int
     dst: str
+
+    def __str__(self) -> str:
+        return f"edge {self.src} {self.dst} pc={self.pc}"
 
 
 @dataclass(frozen=True, eq=True)
@@ -35,7 +44,6 @@ class Program:
     # Left out of the hash because a dict is unhashable; equal programs
     # still hash equally.
     durations: dict[int, int] = field(default_factory=dict, hash=False)
-    locations: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         self._validate()
@@ -49,13 +57,9 @@ class Program:
         edges: Iterable[tuple[str, int, str] | Edge],
         durations: Mapping[int, int] | None = None,
     ) -> "Program":
-        """Canonical constructor: sorts and dedupes edges, infers the
-        location set, and defaults every unlisted pc duration to 1."""
+        """Canonical constructor: sorts and dedupes edges, and defaults
+        every unlisted pc duration to 1."""
         canon = tuple(sorted({Edge(*e) for e in edges}))
-        locations = {entry, end}
-        for e in canon:
-            locations.add(e.src)
-            locations.add(e.dst)
         durs = {e.pc: 1 for e in canon}
         if durations:
             for pc, dur in durations.items():
@@ -64,56 +68,87 @@ class Program:
                         f"duration given for pc={pc}, which no edge executes"
                     )
                 durs[pc] = dur
-        return cls(
-            name=name,
-            entry=entry,
-            end=end,
-            edges=canon,
-            durations=dict(sorted(durs.items())),
-            locations=frozenset(locations),
-        )
+        return cls(name, entry, end, canon, dict(sorted(durs.items())))
+
+    @property
+    def locations(self) -> frozenset[str]:
+        """The entry, the end and every edge's endpoints."""
+        ends = ((e.src, e.dst) for e in self.edges)
+        return frozenset({self.entry, self.end}.union(*ends))
 
     def _validate(self) -> None:
         if not self.name:
             raise ValidationError("program name must be nonempty")
-        for loc in (self.entry, self.end):
-            if loc not in self.locations:
-                raise ValidationError(f"location {loc!r} not in location set")
+        succ: dict[str, list[str]] = {}
         for e in self.edges:
-            if e.src not in self.locations or e.dst not in self.locations:
-                raise ValidationError(f"edge {e} uses an undeclared location")
             if e.pc < 1:
-                raise ValidationError(f"pc must be >= 1, got {e.pc} on edge {e}")
+                raise ValidationError(f"{e}: pc must be >= 1, got {e.pc}")
             if e.src == self.end:
                 raise ValidationError(
                     f"end location {self.end!r} must have no outgoing edges"
                 )
+            if e.pc not in self.durations:
+                raise ValidationError(f"{e}: pc={e.pc} has no duration")
+            succ.setdefault(e.src, []).append(e.dst)
         for pc, dur in self.durations.items():
             if dur < 0:
                 raise ValidationError(f"duration for pc={pc} must be >= 0")
-        for e in self.edges:
-            if e.pc not in self.durations:
-                raise ValidationError(f"edge {e} executes pc with no duration")
-        succ: dict[str, list[str]] = {}
-        for e in self.edges:
-            succ.setdefault(e.src, []).append(e.dst)
-        reachable = _reach(self.entry, succ)
-        missing = self.locations - reachable
+        missing = self.locations - _reach(self.entry, succ)
         if missing:
             raise ValidationError(
                 f"locations unreachable from entry: {sorted(missing)}"
             )
-        if self.end not in reachable:
-            raise ValidationError("end is unreachable from entry: empty language")
 
     def lines(self, config: CacheConfig) -> tuple[int, ...]:
         return tuple(sorted({config.line_of(pc) for pc in self.durations}))
 
     @cached_property
-    def _adjacency(self) -> Adjacency:
-        # Computed on first use and kept with the instance, so its lifetime
-        # is the program's; see ``ensure_bounded``.
-        return _bounded_adjacency(self)
+    def _walk(self) -> tuple[Adjacency, int]:
+        """The work of ``ensure_bounded``: the adjacency and the longest
+        run, kept with the instance so its lifetime is the program's.
+
+        One post-order over a plain stack from the entry: a location is
+        opened when it first reaches the top, which pushes its successors,
+        and closed when it is back on top, which records its longest run
+        from theirs.  The open locations are the current path from the
+        entry, so an edge into one closes a cycle.  A location pushed twice
+        is skipped once it is closed.  Validation makes every location
+        reachable from the entry, so the walk meets every location that can
+        reach the end, and anything on a cycle with such a location can
+        reach the end too.
+        """
+        co = co_reachable(self)
+        out: dict[str, list[tuple[int, str]]] = {}
+        for e in self.edges:
+            if e.src in co and e.dst in co:
+                out.setdefault(e.src, []).append((e.pc, e.dst))
+        adjacency = {loc: tuple(sorted(pairs)) for loc, pairs in out.items()}
+
+        longest: dict[str, int] = {}
+        opened: set[str] = set()
+        stack = [self.entry]
+        while stack:
+            loc = stack[-1]
+            if loc in longest:
+                stack.pop()
+            elif loc in opened:
+                stack.pop()
+                opened.remove(loc)
+                longest[loc] = max(
+                    (1 + longest[dst] for _, dst in adjacency.get(loc, ())),
+                    default=0,
+                )
+            else:
+                opened.add(loc)
+                for _, dst in adjacency.get(loc, ()):
+                    if dst in opened:
+                        raise BoundExceeded(
+                            f"cycle through location {dst!r} reaches the end: "
+                            "run lengths are unbounded"
+                        )
+                    if dst not in longest:
+                        stack.append(dst)
+        return adjacency, longest[self.entry]
 
 
 def _reach(start: str, step: Mapping[str, list[str]]) -> set[str]:
@@ -136,88 +171,30 @@ def co_reachable(program: Program) -> frozenset[str]:
     return frozenset(_reach(program.end, pred))
 
 
-Adjacency = dict[str, tuple[tuple[int, str], ...]]
-
-
 def ensure_bounded(program: Program) -> Adjacency:
     """Check that the run set is finite; returns the co-reachable adjacency.
 
-    The check runs once per program instance: every later call returns the
-    same adjacency, which callers must not mutate.
-    """
-    return program._adjacency
-
-
-def _bounded_adjacency(program: Program) -> Adjacency:
-    """The work of ``ensure_bounded``.
-
     The adjacency maps each location that can reach the end, other than the
-    end itself, to its (pc, destination) edges into such locations, sorted.
-    A cycle among end-co-reachable locations yields arbitrarily long runs,
-    so it raises BoundExceeded.  Cycles are never split across the
-    co-reachable boundary: anything on a cycle with a co-reachable location
-    is itself co-reachable.
+    end itself, to its sorted (pc, destination) edges into such locations.
+    A cycle among those locations raises BoundExceeded naming the first
+    location that the walk from the entry re-enters.  The walk (see
+    ``Program._walk``) runs once per program instance and also records the
+    longest run; later calls return the same adjacency, which callers must
+    not mutate.
     """
-    co = co_reachable(program)
-    out: dict[str, list[tuple[int, str]]] = {}
-    for e in program.edges:
-        if e.src in co and e.dst in co:
-            out.setdefault(e.src, []).append((e.pc, e.dst))
-    adjacency = {loc: tuple(sorted(pairs)) for loc, pairs in out.items()}
-
-    def succ(loc: str) -> Iterator[str]:
-        return (dst for _, dst in adjacency.get(loc, ()))
-
-    # Iterative three-colour DFS.
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {loc: WHITE for loc in co}
-    for root in sorted(co):
-        if colour[root] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(root, succ(root))]
-        colour[root] = GREY
-        while stack:
-            loc, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if colour[nxt] == GREY:
-                    raise BoundExceeded(
-                        f"cycle through location {nxt!r} reaches the end: "
-                        "run lengths are unbounded"
-                    )
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GREY
-                    stack.append((nxt, succ(nxt)))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[loc] = BLACK
-                stack.pop()
-    return adjacency
+    return program._walk[0]
 
 
-def longest_run(program: Program, adjacency: Adjacency) -> int:
-    """Length of the longest entry-to-end run, read off the acyclic
-    adjacency that ``ensure_bounded`` returns."""
-    longest = {program.end: 0}
-    stack = [program.entry]
-    while stack:
-        loc = stack.pop()
-        if loc in longest:
-            continue
-        pending = [dst for _, dst in adjacency[loc] if dst not in longest]
-        if pending:
-            stack.append(loc)
-            stack.extend(pending)
-        else:
-            longest[loc] = 1 + max(longest[dst] for _, dst in adjacency[loc])
-    return longest[program.entry]
+def longest_run(program: Program) -> int:
+    """Length of the longest entry-to-end run, from ``ensure_bounded``'s walk."""
+    return program._walk[1]
 
 
-def single_run(program: Program, adjacency: Adjacency) -> tuple[int, ...] | None:
+def single_run(program: Program) -> tuple[int, ...] | None:
     """The program's only run, or None if it has several.  Walks the set of
     locations the run so far reaches along ``ensure_bounded``'s adjacency;
     a second pc out of that set, or a step on past the end, is a second run."""
+    adjacency = ensure_bounded(program)
     run: list[int] = []
     here = {program.entry}
     while True:
@@ -353,5 +330,5 @@ def serialize_program(program: Program) -> str:
     for pc, dur in sorted(program.durations.items()):
         out.append(f"instr pc={pc} dur={dur}")
     for e in program.edges:
-        out.append(f"edge {e.src} {e.dst} pc={e.pc}")
+        out.append(str(e))
     return "\n".join(out) + "\n"

@@ -506,6 +506,10 @@ def test_feasibility_trace_parse_error(tmp_path, capsys):
     bad = write(tmp_path, "syntax.trace", "pc=1 cls=Q\n")
     assert main(["feasibility", bad]) == 1
     assert "cls" in capsys.readouterr().err
+    # every trace error names its line
+    bad = write(tmp_path, "pc.trace", "pc=1 cls=M\npc=0 cls=M\n")
+    assert main(["feasibility", bad]) == 1
+    assert capsys.readouterr().err == "error: line 2: pc must be >= 1, got 0\n"
 
 
 def test_sweep_table_and_agreement(tmp_path, capsys):

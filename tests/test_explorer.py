@@ -1,6 +1,7 @@
 """Product-state exploration, explicit and abstract."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from wcetbound import (
     ValidationError,
     branching_loop_program,
     complement,
+    ensure_bounded,
     explore_abstract,
     explore_explicit,
     from_pattern,
@@ -38,6 +40,7 @@ from wcetbound import (
     trace_time,
 )
 from wcetbound.classifier import as_symbols
+from wcetbound.program import longest_run
 
 H = Classification.HIT
 M = Classification.MISS
@@ -278,3 +281,22 @@ def test_exploration_is_deterministic():
     assert explore_abstract(program, model, config) == explore_abstract(
         program, model, config
     )
+
+
+def test_a_chain_deeper_than_the_recursion_limit():
+    # every walk is iterative: 6000 steps of three lines cycling through a
+    # two-slot cache, where every access misses
+    n = 6000
+    assert n > sys.getrecursionlimit()
+    pcs = [1, 2, 3] * (n // 3)
+    program = chain_program(pcs)
+    config = CacheConfig()
+    assert len(ensure_bounded(program)) == n
+    assert longest_run(program) == n
+    want = n * (config.miss_time + 1)
+    assert trace_time(simulate(config, (), pcs), program.durations, config) == want
+    explicit = explore_explicit(program, config)
+    assert (explicit.wcet, len(explicit.witness)) == (want, n)
+    universal = hit_or_miss(program.lines(config))
+    abstract = explore_abstract(program, universal, config)
+    assert (abstract.wcet, len(abstract.witness)) == (want, n)

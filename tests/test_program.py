@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import chain_program, oracle_runs, random_program, same_pc_forks
 from wcetbound import (
     BoundExceeded,
+    Edge,
     ParseError,
     Program,
     ValidationError,
@@ -25,10 +26,6 @@ from wcetbound import (
     serialize_program,
 )
 from wcetbound.program import longest_run, single_run
-
-
-def the_single_run(program):
-    return single_run(program, ensure_bounded(program))
 
 
 def test_build_canonicalizes_edges_and_infers_locations():
@@ -60,7 +57,7 @@ def test_build_rejects_bad_shapes():
 def test_entry_equal_end_has_exactly_the_empty_run():
     p = Program.build("p", "A", "A", [])
     assert oracle_runs(p, 10) == [()]
-    assert the_single_run(p) == ()
+    assert single_run(p) == ()
 
 
 def test_dead_end_location_is_allowed_but_pruned_from_language():
@@ -68,13 +65,13 @@ def test_dead_end_location_is_allowed_but_pruned_from_language():
         "p", "A", "End", [("A", 1, "B"), ("B", 2, "End"), ("B", 3, "Dead")]
     )
     assert oracle_runs(p, 10) == [(1, 2)]
-    assert the_single_run(p) == (1, 2)
+    assert single_run(p) == (1, 2)
 
 
 def test_single_run_language():
     p = chain_program([1, 2, 1])
     assert oracle_runs(p, 10) == [(1, 2, 1)]
-    assert the_single_run(p) == (1, 2, 1)
+    assert single_run(p) == (1, 2, 1)
 
 
 def test_longest_run_is_the_longest_oracle_run():
@@ -82,7 +79,7 @@ def test_longest_run_is_the_longest_oracle_run():
     for i in range(40):
         p = random_program(rng, name=f"r{i}")
         runs = oracle_runs(p, 64)
-        assert longest_run(p, ensure_bounded(p)) == max(map(len, runs))
+        assert longest_run(p) == max(map(len, runs))
 
 
 def test_nondeterministic_label_duplicates_collapse():
@@ -94,7 +91,7 @@ def test_nondeterministic_label_duplicates_collapse():
         [("A", 1, "B1"), ("A", 1, "B2"), ("B1", 2, "D"), ("B2", 2, "D")],
     )
     assert oracle_runs(p, 10) == [(1, 2)]
-    assert the_single_run(p) == (1, 2)
+    assert single_run(p) == (1, 2)
 
 
 def test_branching_loop_shape():
@@ -115,7 +112,7 @@ def test_branching_loop_shape():
 def test_branching_loop_run_count_large():
     p = branching_loop_program(iterations=5, branches=10)
     assert len(oracle_runs(p, 64)) == 11 ** 5 == 161051
-    assert the_single_run(p) is None
+    assert single_run(p) is None
 
 
 drawn_programs = st.one_of(
@@ -129,7 +126,7 @@ drawn_programs = st.one_of(
 @given(drawn_programs)
 def test_single_run_matches_the_oracle(program):
     runs = oracle_runs(program, 64)
-    assert the_single_run(program) == (runs[0] if len(runs) == 1 else None)
+    assert single_run(program) == (runs[0] if len(runs) == 1 else None)
 
 
 def test_conftest_imports_only_types_errors_and_the_cache_step():
@@ -164,7 +161,66 @@ def test_language_bound_is_a_hard_error():
         ensure_bounded(cyclic)
     # the CLI compares --max-len with the longest run
     p = chain_program([1, 2, 3])
-    assert longest_run(p, ensure_bounded(p)) == 3
+    assert longest_run(p) == 3
+
+
+def random_digraph(rng: random.Random) -> Program:
+    """A valid program over up to seven locations: a tree from the entry
+    that reaches the end, plus random edges that may add self-loops, back
+    edges and cycles that cannot reach the end."""
+    locs = [f"L{i}" for i in range(rng.randint(2, 7))]
+    inner = locs[:-1]  # the end has no outgoing edges
+    edges = [
+        (rng.choice(locs[:i]), rng.randint(1, 3), locs[i]) for i in range(1, len(locs))
+    ]
+    for _ in range(rng.randint(0, len(locs))):
+        edges.append((rng.choice(inner), rng.randint(1, 3), rng.choice(locs)))
+    return Program.build("g", locs[0], locs[-1], edges)
+
+
+def oracle_closure(program, loc):
+    """Locations one or more raw edges away from ``loc``."""
+    seen, todo = set(), [loc]
+    while todo:
+        here = todo.pop()
+        for e in program.edges:
+            if e.src == here and e.dst not in seen:
+                seen.add(e.dst)
+                todo.append(e.dst)
+    return seen
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False).map(random_digraph))
+def test_program_walk_matches_a_brute_force_oracle(program):
+    # unbounded exactly when a location that can reach the end is on a cycle
+    on_live_cycle = {
+        loc for loc in program.locations
+        if loc in oracle_closure(program, loc)
+        and program.end in oracle_closure(program, loc)
+    }
+    if on_live_cycle:
+        with pytest.raises(BoundExceeded) as err:
+            ensure_bounded(program)
+        named = str(err.value).split("'")[1]
+        assert str(err.value) == (
+            f"cycle through location {named!r} reaches the end: "
+            "run lengths are unbounded"
+        )
+        assert named in on_live_cycle
+    else:
+        # a simple path has fewer steps than there are locations
+        runs = oracle_runs(program, len(program.locations))
+        assert longest_run(program) == max(map(len, runs))
+
+
+def test_program_errors_show_the_edge_in_file_syntax():
+    with pytest.raises(ValidationError) as err:
+        parse_program("program p\nentry A\nend B\nedge A B pc=0\n")
+    assert str(err.value) == "edge A B pc=0: pc must be >= 1, got 0"
+    with pytest.raises(ValidationError) as err:
+        Program("p", "A", "B", (Edge("A", 1, "B"),), {})
+    assert str(err.value) == "edge A B pc=1: pc=1 has no duration"
 
 
 def test_cycle_outside_coreachable_region_is_harmless():
@@ -175,7 +231,7 @@ def test_cycle_outside_coreachable_region_is_harmless():
         [("A", 1, "End"), ("A", 2, "Spin"), ("Spin", 3, "Spin")],
     )
     assert oracle_runs(p, 10) == [(1,)]
-    assert the_single_run(p) == (1,)
+    assert single_run(p) == (1,)
 
 
 def test_parse_round_trip():
