@@ -11,7 +11,9 @@ such automata.
 An automaton is a plain table.  Its alphabet is a sorted tuple of distinct
 symbols, and row ``transitions[q]`` is a tuple of ints whose column i holds
 the successor of state q on ``alphabet[i]``.  Only this module reads the
-table; other code steps an automaton through ``ClassifierAutomaton.step``.
+table or tests liveness: an explorer asks ``ClassifierAutomaton.lens`` for
+the classifications an access may have, and other code steps an automaton
+through ``ClassifierAutomaton.step``.
 
 Constructors: the universal model ``hit_or_miss``, classification-only
 ``from_pattern`` expressions like ``(M.H.M.M)*``, the contains-infix
@@ -26,10 +28,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cache import Classification, ClassifiedAccess
-from .errors import AlphabetMismatch, ParseError, PatternParseError, ValidationError
+from .errors import (
+    AbstractModelEmpty,
+    AlphabetMismatch,
+    ParseError,
+    PatternParseError,
+    ValidationError,
+    token_lines,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -111,6 +120,31 @@ class ClassifierAutomaton:
                     live.add(p)
                     todo.append(p)
         return frozenset(live)
+
+    def lens(self, lines: Iterable[int]) -> Callable[[int, int], list]:
+        """The prefix lens as ``choices(state, line)``: the (classification,
+        successor) pairs of one access to ``line`` whose successor is live,
+        Hit first.  Raises AlphabetMismatch naming every symbol of ``lines``
+        the alphabet lacks, and AbstractModelEmpty if the initial state is dead.
+        """
+        wanted = full_alphabet(lines)
+        missing = [sym for sym in wanted if sym not in self._column]
+        if missing:
+            raise AlphabetMismatch(
+                f"model alphabet lacks program symbols {' '.join(map(str, missing))}"
+            )
+        live = self.live_states()
+        if self.initial not in live:
+            raise AbstractModelEmpty("the model allows no trace at all")
+        columns: dict[int, list[tuple[Classification, int]]] = {}
+        for sym in wanted:
+            columns.setdefault(sym.line, []).append((sym.cls, self._column[sym]))
+
+        def choices(state: int, line: int) -> list[tuple[Classification, int]]:
+            row = self.transitions[state]
+            return [(cls, row[i]) for cls, i in columns[line] if row[i] in live]
+
+        return choices
 
 
 def as_symbols(
@@ -478,12 +512,7 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
     initial_name: str | None = None
     trans: dict[tuple[str, AccessSymbol], str] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
+    for line_no, (directive, *args) in token_lines(text):
         if directive == "alphabet":
             if alphabet is not None:
                 raise ParseError("duplicate alphabet directive", line_no)

@@ -50,6 +50,7 @@ from .errors import (
     IterationBudgetExceeded,
     ParseError,
     ValidationError,
+    token_lines,
 )
 from .explorer import explore_abstract, explore_explicit
 from .program import (
@@ -157,11 +158,7 @@ def _init_token(state: CacheState | None) -> str:
 def parse_trace_text(text: str, config: CacheConfig) -> ClassifiedTrace:
     """Trace file format: one ``pc=<int> cls=<H|M>`` per line."""
     out: list[ClassifiedAccess] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, tokens in token_lines(text):
         if len(tokens) != 2 or not tokens[0].startswith("pc=") or not tokens[
             1
         ].startswith("cls="):
@@ -403,7 +400,7 @@ def cmd_feasibility(args) -> list[Record]:
     ]
     print(f"trace: {len(trace)} accesses")
     if verdict.feasible:
-        initial = _state_token(verdict.initial_state or ())
+        initial = _state_token(verdict.initial_state)
         print("verdict: feasible")
         print(f"initial cache (most recent first): {initial}")
         records.append(("verdict", [("feasible", "yes"), ("initial", initial)]))

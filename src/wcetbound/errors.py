@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the line reader shared across the package."""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 
 class AnalysisError(Exception):
@@ -15,6 +17,15 @@ class ParseError(AnalysisError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+def token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number from 1, tokens) of each line of ``text`` that has tokens
+    once its ``#`` comment is cut: every text format reads its lines here."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
 
 
 class PatternParseError(ParseError):

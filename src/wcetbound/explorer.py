@@ -1,11 +1,12 @@
 """Worst-case exploration of the program x cache-model product.
 
 Both modes walk the acyclic product of program locations with a cache
-component (a concrete cache state, or an abstract classifier state) and
-compute, per product state, the maximal residual time to the end location
-plus the witness trace attaining it.  Since the residual depends only on
-the product state, states differing in accumulated clock merge, which is
-what keeps counts far below the run count.
+component: a concrete cache state, or a model state that steps only along
+the choices of the model's prefix lens (``ClassifierAutomaton.lens``).
+They compute, per product state, the maximal residual time to the end
+location plus the witness trace attaining it.  Since the residual depends
+only on the product state, states differing in accumulated clock merge,
+which is what keeps counts far below the run count.
 
 The walk is one memoized post-order over a plain stack of product states.
 A state is expanded when it first reaches the top: its successor list waits
@@ -41,8 +42,8 @@ from .cache import (
     access,
     validate_state,
 )
-from .classifier import AccessSymbol, ClassifierAutomaton, full_alphabet
-from .errors import AbstractModelEmpty, AlphabetMismatch
+from .classifier import ClassifierAutomaton
+from .errors import AbstractModelEmpty
 from .program import Program, ensure_bounded
 from .timing import step_cost
 
@@ -144,9 +145,7 @@ def explore_explicit(
         return ((cls, nxt),)
 
     best, states = _best_runs(program, config, tuple(init), outcomes)
-    if best is None:
-        # Unreachable: Program validation guarantees a nonempty language.
-        raise AssertionError("validated program has no run")
+    assert best is not None, "program validation guarantees a run"
     return ExplorationResult(best[0], best[1], states)
 
 
@@ -155,29 +154,10 @@ def explore_abstract(
     model: ClassifierAutomaton,
     config: CacheConfig,
 ) -> ExplorationResult:
-    """Exact WCET over all runs and all classifications the model allows.
-
-    A classification choice is allowed when the automaton stays out of its
-    dead region, so exploration steps only into live states; a run counts
-    once it reaches the end location (still live by construction).
-    """
-    missing = set(full_alphabet(program.lines(config))) - set(model.alphabet)
-    if missing:
-        raise AlphabetMismatch(
-            "model alphabet lacks program symbols "
-            + " ".join(map(str, sorted(missing)))
-        )
-    live = model.live_states()
-    if model.initial not in live:
-        raise AbstractModelEmpty("the model allows no trace at all")
-
-    def outcomes(q, line):
-        for cls in (Classification.HIT, Classification.MISS):
-            nxt = model.step(q, AccessSymbol(line, cls))
-            if nxt in live:
-                yield cls, nxt
-
-    best, states = _best_runs(program, config, model.initial, outcomes)
+    """Exact WCET over all runs and all classifications the model allows:
+    the complete runs along the choices of the model's prefix lens."""
+    choices = model.lens(program.lines(config))
+    best, states = _best_runs(program, config, model.initial, choices)
     if best is None:
         raise AbstractModelEmpty(
             "the model allows no complete run of the program"

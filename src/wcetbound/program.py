@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .cache import CacheConfig
-from .errors import BoundExceeded, ParseError, ValidationError
+from .errors import BoundExceeded, ParseError, ValidationError, token_lines
 
 Adjacency = dict[str, tuple[tuple[int, str], ...]]
 
@@ -254,10 +254,11 @@ def parse_program(text: str) -> Program:
 
     Durations default to 1 for any pc without an instr line.
     """
-    name: str | None = None
-    entry: str | None = None
-    end: str | None = None
+    # The once-only directives, in ``Program.build``'s argument order.
+    once = {"program": "name", "entry": "location", "end": "location"}
+    header: dict[str, str] = {}
     durations: dict[int, int] = {}
+    instr_line: dict[int, int] = {}
     edges: list[tuple[str, int, str]] = []
 
     def kv(token: str, key: str, line_no: int) -> int:
@@ -269,30 +270,15 @@ def parse_program(text: str) -> Program:
         except ValueError:
             raise ParseError(f"expected integer after {prefix}", line_no) from None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
-        if directive == "program":
-            if name is not None:
-                raise ParseError("duplicate program directive", line_no)
+    for line_no, (directive, *args) in token_lines(text):
+        if directive in once:
+            if directive in header:
+                raise ParseError(f"duplicate {directive} directive", line_no)
             if len(args) != 1:
-                raise ParseError("program takes exactly one name", line_no)
-            name = args[0]
-        elif directive == "entry":
-            if entry is not None:
-                raise ParseError("duplicate entry directive", line_no)
-            if len(args) != 1:
-                raise ParseError("entry takes exactly one location", line_no)
-            entry = args[0]
-        elif directive == "end":
-            if end is not None:
-                raise ParseError("duplicate end directive", line_no)
-            if len(args) != 1:
-                raise ParseError("end takes exactly one location", line_no)
-            end = args[0]
+                raise ParseError(
+                    f"{directive} takes exactly one {once[directive]}", line_no
+                )
+            header[directive] = args[0]
         elif directive == "instr":
             if not args or len(args) > 2:
                 raise ParseError("instr takes pc=<int> [dur=<int>]", line_no)
@@ -300,7 +286,10 @@ def parse_program(text: str) -> Program:
             dur = kv(args[1], "dur", line_no) if len(args) == 2 else 1
             if pc in durations:
                 raise ParseError(f"duplicate instr for pc={pc}", line_no)
+            if dur < 0:
+                raise ParseError(f"duration for pc={pc} must be >= 0", line_no)
             durations[pc] = dur
+            instr_line[pc] = line_no
         elif directive == "edge":
             if len(args) != 3:
                 raise ParseError(
@@ -311,13 +300,16 @@ def parse_program(text: str) -> Program:
         else:
             raise ParseError(f"unknown directive {directive!r}", line_no)
 
-    if name is None:
-        raise ValidationError("missing program directive")
-    if entry is None:
-        raise ValidationError("missing entry directive")
-    if end is None:
-        raise ValidationError("missing end directive")
-    return Program.build(name, entry, end, edges, durations)
+    for directive in once:
+        if directive not in header:
+            raise ValidationError(f"missing {directive} directive")
+    executed = {pc for _, pc, _ in edges}
+    for pc, line_no in instr_line.items():
+        if pc not in executed:
+            raise ParseError(
+                f"duration given for pc={pc}, which no edge executes", line_no
+            )
+    return Program.build(*(header[d] for d in once), edges, durations)
 
 
 def serialize_program(program: Program) -> str:

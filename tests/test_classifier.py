@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcetbound import (
+    AbstractModelEmpty,
     AccessSymbol,
     AlphabetMismatch,
     Classification,
@@ -370,6 +371,57 @@ def test_operations_match_a_walk_of_the_drawn_tables(da, db):
         assert accepts(both, word) == (in_a and in_b)
         assert accepts(a_not_b, word) == (in_a and not in_b)
         assert accepts(min_a, word) == in_a
+
+
+def table_live(dfa) -> set:
+    """States of the drawn table from which an accepting state is reachable."""
+    table, _, accepting = dfa
+    live = set(accepting)
+    while True:
+        more = {q for q, row in enumerate(table) if live & set(row.values())}
+        if more <= live:
+            return live
+        live |= more
+
+
+@st.composite
+def dfa_tables_with_a_sink(draw):
+    """A drawn table plus a rejecting sink that some transitions fall into."""
+    table, initial, accepting = draw(dfa_tables())
+    sink = len(table)
+    table = [{s: sink if draw(st.booleans()) else q for s, q in row.items()}
+             for row in table]
+    table.append({s: sink for s in ALPHABET_12})
+    return table, initial, accepting
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dfa_tables() | dfa_tables_with_a_sink(),
+       st.sets(st.sampled_from(LINES)) | st.sets(st.integers(0, 3)))
+@example(([{s: 0 for s in ALPHABET_12}], 0, frozenset({0})), {3, 1, 0})
+@example(([{s: 0 for s in ALPHABET_12}], 0, frozenset()), set(LINES))
+def test_lens_matches_a_walk_of_the_drawn_table(dfa, lines):
+    a = automaton_of(dfa)
+    missing = [AccessSymbol(line, cls) for line in sorted(lines) for cls in (H, M)
+               if line not in LINES]
+    live = table_live(dfa)
+    if missing:
+        text = " ".join(map(str, missing))
+        with pytest.raises(AlphabetMismatch) as err:
+            a.lens(lines)
+        assert str(err.value) == f"model alphabet lacks program symbols {text}"
+        return
+    if a.initial not in live:
+        with pytest.raises(AbstractModelEmpty) as err:
+            a.lens(lines)
+        assert str(err.value) == "the model allows no trace at all"
+        return
+    choices = a.lens(lines)
+    table = dfa[0]
+    for q in range(a.n_states):
+        for line in lines:
+            expected = [(cls, table[q][AccessSymbol(line, cls)]) for cls in (H, M)]
+            assert choices(q, line) == [(c, r) for c, r in expected if r in live]
 
 
 MODEL_TEXT = """

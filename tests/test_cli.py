@@ -512,6 +512,17 @@ def test_feasibility_trace_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: pc must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("instr, err", [
+    ("instr pc=1 dur=-2", "error: line 4: duration for pc=1 must be >= 0\n"),
+    ("instr pc=7 dur=2",
+     "error: line 4: duration given for pc=7, which no edge executes\n"),
+], ids=["negative", "no-edge"])
+def test_instr_errors_name_their_line(tmp_path, capsys, instr, err):
+    text = CHAIN_121.replace("edge A B", f"{instr}\nedge A B")
+    assert main(["wcet", "explicit", write(tmp_path, "p.prog", text)]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_sweep_table_and_agreement(tmp_path, capsys):
     rec = str(tmp_path / "sweep.rec")
     assert main(["sweep", "--iterations", "3", "--branches", "1..3",

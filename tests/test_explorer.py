@@ -1,7 +1,9 @@
 """Product-state exploration, explicit and abstract."""
 
+import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from wcetbound import (
     simulate,
     trace_time,
 )
+from wcetbound import explorer
 from wcetbound.classifier import as_symbols
 from wcetbound.program import longest_run
 
@@ -300,3 +303,18 @@ def test_a_chain_deeper_than_the_recursion_limit():
     universal = hit_or_miss(program.lines(config))
     abstract = explore_abstract(program, universal, config)
     assert (abstract.wcet, len(abstract.witness)) == (want, n)
+
+
+def test_explorer_reads_a_model_only_through_its_lens():
+    # symbols, alphabets and liveness stay inside classifier.py
+    tree = ast.parse(Path(explorer.__file__).read_text())
+    from_classifier = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("classifier" in alias.name for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module and node.module.endswith("classifier"):
+                from_classifier += names
+            assert "classifier" not in names
+    assert from_classifier == ["ClassifierAutomaton"]

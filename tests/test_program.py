@@ -234,14 +234,23 @@ def test_cycle_outside_coreachable_region_is_harmless():
     assert single_run(p) == (1,)
 
 
-def test_parse_round_trip():
+def round_trip_programs():
     rng = random.Random(5)
-    programs = [
+    return [
         branching_loop_program(3, 2),
         chain_program([1, 2, 1], durations={1: 0, 2: 5}),
     ] + [random_program(rng, name=f"rt{i}") for i in range(20)]
-    for p in programs:
+
+
+def test_parse_round_trip():
+    for p in round_trip_programs():
         assert parse_program(serialize_program(p)) == p
+
+
+def test_parse_takes_directives_in_any_order():
+    for p in round_trip_programs():
+        lines = serialize_program(p).splitlines()
+        assert parse_program("\n".join(reversed(lines))) == p
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -269,6 +278,10 @@ def test_parse_errors_carry_line_numbers():
         ("program p\nentry A\nend B\nedge A B\n", "edge"),
         ("program p\nprogram q\nentry A\nend B\nedge A B pc=1\n", "program"),
         ("program p\nentry A\nend B\ninstr pc=1 dur=1 x=2\nedge A B pc=1\n", "instr"),
+        ("program p\nentry A\nend B\ninstr pc=1 dur=-2\nedge A B pc=1\n",
+         "line 4: duration for pc=1 must be >= 0"),
+        ("program p\nentry A\nend B\ninstr pc=7 dur=2\nedge A B pc=1\n",
+         "line 4: duration given for pc=7, which no edge executes"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError) as err:
@@ -296,8 +309,15 @@ def test_parse_requires_all_directives():
 
 def test_parse_rejects_instruction_without_edge():
     text = "program p\nentry A\nend B\ninstr pc=7 dur=2\nedge A B pc=1\n"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError, match="^line 4: duration given for pc=7"):
         parse_program(text)
+
+
+def test_build_keeps_the_duration_checks_for_library_callers():
+    with pytest.raises(ValidationError, match="^duration given for pc=7, which"):
+        Program.build("p", "A", "B", [("A", 1, "B")], {7: 2})
+    with pytest.raises(ValidationError, match="^duration for pc=1 must be >= 0$"):
+        Program.build("p", "A", "B", [("A", 1, "B")], {1: -2})
 
 
 def test_locations_allow_dotted_names():
