@@ -21,7 +21,10 @@ language ``infix_language``, and the ``parse_model`` file format.  A
 pattern compiles in one pass: the parser builds its position automaton,
 whose DFA states are sets of letter positions, with no epsilon moves.  The
 ``subtract`` operation removes one language from another; it is how
-refinement rules out behaviours no real cache exhibits.
+refinement rules out behaviours no real cache exhibits.  Its product,
+``intersect``, keeps only the reachable pairs whose components are both
+live: every pair with a dead component accepts nothing, so all of them
+share one rejecting sink.
 """
 
 from __future__ import annotations
@@ -106,8 +109,10 @@ class ClassifierAutomaton:
             state = self.step(state, sym)
         return state
 
+    @cached_property
     def live_states(self) -> frozenset[int]:
-        """States from which some accepting state is reachable."""
+        """States from which some accepting state is reachable, computed
+        once per automaton: ``lens`` and ``intersect`` share it."""
         pred: dict[int, set[int]] = {q: set() for q in range(self.n_states)}
         for q, row in enumerate(self.transitions):
             for nxt in row:
@@ -133,7 +138,7 @@ class ClassifierAutomaton:
             raise AlphabetMismatch(
                 f"model alphabet lacks program symbols {' '.join(map(str, missing))}"
             )
-        live = self.live_states()
+        live = self.live_states
         if self.initial not in live:
             raise AbstractModelEmpty("the model allows no trace at all")
         columns: dict[int, list[tuple[Classification, int]]] = {}
@@ -187,7 +192,7 @@ def allows(
     propagates backwards along every path.  The empty trace is allowed
     exactly when the initial state is live.
     """
-    return automaton.run(as_symbols(trace)) in automaton.live_states()
+    return automaton.run(as_symbols(trace)) in automaton.live_states
 
 
 def hit_or_miss(lines: Iterable[int]) -> ClassifierAutomaton:
@@ -234,7 +239,11 @@ def _number(start, step):
 def intersect(
     a: ClassifierAutomaton, b: ClassifierAutomaton
 ) -> ClassifierAutomaton:
-    """Product construction, restricted to reachable pairs."""
+    """Product construction over the reachable pairs whose components are
+    both live.  A pair with a dead component accepts nothing, so all such
+    pairs share one rejecting sink (``None`` while numbering) and the
+    language is that of the full product.
+    """
     if a.alphabet != b.alphabet:
         differ = sorted(set(a.alphabet) ^ set(b.alphabet))
         raise AlphabetMismatch(
@@ -242,12 +251,21 @@ def intersect(
             f"{' '.join(map(str, differ))} differ"
         )
     ta, tb = a.transitions, b.transitions
-    pairs, rows = _number(
-        (a.initial, b.initial), lambda pair: zip(ta[pair[0]], tb[pair[1]])
-    )
+    live_a, live_b = a.live_states, b.live_states
+    sink_row = (None,) * len(a.alphabet)
+
+    def live_pair(qa: int, qb: int) -> tuple[int, int] | None:
+        return (qa, qb) if qa in live_a and qb in live_b else None
+
+    def step(pair):
+        if pair is None:
+            return sink_row
+        return [live_pair(qa, qb) for qa, qb in zip(ta[pair[0]], tb[pair[1]])]
+
+    pairs, rows = _number(live_pair(a.initial, b.initial), step)
     accepting = frozenset(
-        i for i, (qa, qb) in enumerate(pairs)
-        if qa in a.accepting and qb in b.accepting
+        i for i, pair in enumerate(pairs)
+        if pair is not None and pair[0] in a.accepting and pair[1] in b.accepting
     )
     return ClassifierAutomaton(
         alphabet=a.alphabet,
@@ -303,7 +321,7 @@ def subtract(
 
 
 def is_empty_language(a: ClassifierAutomaton) -> bool:
-    return a.initial not in a.live_states()
+    return a.initial not in a.live_states
 
 
 def same_language(a: ClassifierAutomaton, b: ClassifierAutomaton) -> bool:

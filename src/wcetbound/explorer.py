@@ -26,6 +26,9 @@ before Miss).  Equal first steps (one pc, two destinations) are settled by
 walking both chains in lockstep to the first differing step, an end (the
 shorter trace is less) or a merge (equal traces: the first combined
 stays).
+
+Each analysis builds the step of one (pc, classification) once, with its
+cost, when the walk first meets it, and shares it among all product states.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ def _best_runs(
     """
     edges = ensure_bounded(program)
     durations = program.durations
+    lines: dict[int, int] = {}  # pc -> line
+    steps: dict = {}  # (pc, cls) -> (ClassifiedAccess, cost)
     memo: dict = {}
     pending: dict = {}
     root = (program.entry, start)
@@ -98,11 +103,18 @@ def _best_runs(
             succ = []
             depth = len(stack)
             for pc, dst in edges.get(loc, ()):
-                line = config.line_of(pc)
+                line = lines.get(pc)
+                if line is None:
+                    line = lines[pc] = config.line_of(pc)
                 for cls, after in outcomes(comp, line):
-                    cost = step_cost(pc, cls, durations, config).total
+                    step = steps.get((pc, cls))
+                    if step is None:
+                        step = steps[pc, cls] = (
+                            ClassifiedAccess(pc, line, cls),
+                            step_cost(pc, cls, durations, config).total,
+                        )
                     nxt = (dst, after)
-                    succ.append((ClassifiedAccess(pc, line, cls), cost, nxt))
+                    succ.append((*step, nxt))
                     if nxt not in memo:
                         stack.append(nxt)
             if len(stack) > depth:

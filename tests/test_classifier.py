@@ -4,7 +4,9 @@ Pattern membership is cross-checked against Python's re module: the
 pattern grammar maps onto regular expressions by dropping the explicit
 concatenation dots, which gives an oracle that shares no code with the
 position automaton under test.  The boolean operations are
-cross-checked on random complete DFAs against a walk of the drawn table.
+cross-checked on random complete DFAs against a walk of the drawn table,
+and ``intersect``, which gives all dead pairs one sink, against the full
+product of every reachable pair.
 """
 
 import itertools
@@ -358,8 +360,24 @@ def automaton_of(dfa) -> ClassifierAutomaton:
     )
 
 
+@st.composite
+def dfa_tables_with_a_sink(draw):
+    """A drawn table plus a rejecting sink that some transitions fall into."""
+    table, initial, accepting = draw(dfa_tables())
+    sink = len(table)
+    table = [{s: sink if draw(st.booleans()) else q for s, q in row.items()}
+             for row in table]
+    table.append({s: sink for s in ALPHABET_12})
+    return table, initial, accepting
+
+
+# Both kinds of table: without a sink, a drawn table is rarely both live at
+# its initial state and able to reach a dead state.
+ANY_TABLE = dfa_tables() | dfa_tables_with_a_sink()
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(dfa_tables(), dfa_tables())
+@given(ANY_TABLE, ANY_TABLE)
 def test_operations_match_a_walk_of_the_drawn_tables(da, db):
     a, b = automaton_of(da), automaton_of(db)
     not_a, both, a_not_b, min_a = (
@@ -373,6 +391,46 @@ def test_operations_match_a_walk_of_the_drawn_tables(da, db):
         assert accepts(min_a, word) == in_a
 
 
+def full_product(
+    a: ClassifierAutomaton, b: ClassifierAutomaton
+) -> ClassifierAutomaton:
+    """Every reachable pair of states, dead or live, with no shared sink."""
+    index = {(a.initial, b.initial): 0}
+    pairs = list(index)
+    rows = []
+    for qa, qb in pairs:
+        row = []
+        for pair in zip(a.transitions[qa], b.transitions[qb]):
+            if pair not in index:
+                index[pair] = len(pairs)
+                pairs.append(pair)
+            row.append(index[pair])
+        rows.append(tuple(row))
+    return ClassifierAutomaton(
+        alphabet=a.alphabet,
+        initial=0,
+        accepting=frozenset(
+            i for i, (qa, qb) in enumerate(pairs)
+            if qa in a.accepting and qb in b.accepting
+        ),
+        transitions=tuple(rows),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ANY_TABLE, ANY_TABLE)
+def test_intersect_minimizes_like_the_full_product(da, db):
+    # intersect sends every pair with a dead component to one sink; that
+    # must change the state count only, never the minimized automaton
+    a, b = automaton_of(da), automaton_of(db)
+    trimmed, full = intersect(a, b), full_product(a, b)
+    assert trimmed.n_states <= full.n_states
+    got, want = minimize(trimmed), minimize(full)
+    assert (got.transitions, got.accepting, got.initial) == (
+        want.transitions, want.accepting, want.initial
+    )
+
+
 def table_live(dfa) -> set:
     """States of the drawn table from which an accepting state is reachable."""
     table, _, accepting = dfa
@@ -384,19 +442,8 @@ def table_live(dfa) -> set:
         live |= more
 
 
-@st.composite
-def dfa_tables_with_a_sink(draw):
-    """A drawn table plus a rejecting sink that some transitions fall into."""
-    table, initial, accepting = draw(dfa_tables())
-    sink = len(table)
-    table = [{s: sink if draw(st.booleans()) else q for s, q in row.items()}
-             for row in table]
-    table.append({s: sink for s in ALPHABET_12})
-    return table, initial, accepting
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(dfa_tables() | dfa_tables_with_a_sink(),
+@given(ANY_TABLE,
        st.sets(st.sampled_from(LINES)) | st.sets(st.integers(0, 3)))
 @example(([{s: 0 for s in ALPHABET_12}], 0, frozenset({0})), {3, 1, 0})
 @example(([{s: 0 for s in ALPHABET_12}], 0, frozenset()), set(LINES))

@@ -502,6 +502,33 @@ def test_feasibility_at_a_huge_capacity_answers_in_bounded_memory(tmp_path):
     assert "initial cache (most recent first): empty" in proc.stdout
 
 
+def test_fifo_refine_at_a_large_capacity_answers_in_bounded_memory(tmp_path):
+    # with equal hit and miss times the first witness is all hits, a fifo
+    # fresh hit on every line; the whole-witness verdict finds a realizing
+    # start at once, where a symbolic sweep would name one of 4000 slots
+    # per fresh hit
+    prog = str(tmp_path / "ex.prog")
+    assert main(["example", "--iterations", "2", "--branches", "1",
+                 "--out", prog]) == 0
+
+    def limit_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "wcetbound", "wcet", "refine", prog,
+         "--policy", "fifo", "--hit", "20", "--miss", "20",
+         "--capacity", "4000"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rounds = re.findall(r"^  iter \d+: .*$", proc.stdout, re.MULTILINE)
+    assert rounds and "feasible=yes" in rounds[-1]
+
+
 def test_feasibility_trace_parse_error(tmp_path, capsys):
     bad = write(tmp_path, "syntax.trace", "pc=1 cls=Q\n")
     assert main(["feasibility", bad]) == 1
