@@ -8,22 +8,20 @@ supported: PROMOTE_ON_HIT additionally moves a hit line to the front,
 PURE_FIFO leaves the order untouched on hits.  ``access`` is the one
 definition of these rules.
 
-A *symbolic* state may also hold ``?`` (``None``) slots: residents of an
-unknown start state that no access has touched yet.  The ``?``s that
-fill a symbolic state up to capacity are left implicit, so a fully
-unknown cache is ``()`` and no state ends in ``?``.  ``access`` works
-unchanged on such states: a ``?`` matches no line, and a miss pushes out
-the last slot, known or ``?``.  ``symbolic_step`` steps a set of such
-states by one observed classification on top of it; each state gives
-
-- the ``access`` successor, when ``access`` gives that classification
-  (trailing ``?``s trimmed);
-- and for a Hit on a line not seen before, each way the line can be one
-  of the ``?``s: it fills one ``?``, explicit or implicit, in place, and
-  is then hit through ``access``.  Under promote that hit moves it to
-  the front, so the first implicit ``?`` stands for all of them.
-
-A line seen before is never a ``?``: it hits only when resident.
+A *symbolic* state ``(known, floating)`` stands for the caches that an
+unknown start state can lead to.  ``known`` is an ordinary state; the
+``capacity - len(known)`` slots behind it are ``?``s, residents of the
+start state that no access has moved.  They are never stored, so a fully
+unknown cache is ``((), frozenset())``.  ``floating`` holds the lines a
+fifo Hit found in some ``?`` without naming which (Grund and Reineke's
+fifo phases); the other ``?``s hold lines not yet accessed.  ``symbolic_step``
+steps a set of such states by one observed classification.  A known line
+steps by ``access``, a floating one hits without moving, and any other
+line seen before is not resident.  A Hit on an unseen line is in a ``?``:
+under fifo it floats, while the floating set still fits the ``?``s, and
+under promote it moves to the front.  A Miss that pushes out the last
+``?`` branches: the slot held no floating line, when the rest still fit,
+or it held floating line ``f``, for each ``f``.
 
 Instructions are identified by their pc; the cache works on lines, with
 line = pc // line_size.
@@ -66,8 +64,8 @@ class ReplacementPolicy(enum.Enum):
 # candidate.
 CacheState = tuple[int, ...]
 
-# Known lines and None for ``?``, most recent first, no trailing None.
-SymbolicState = tuple[int | None, ...]
+# The known lines, most recent first, and the lines floating in the ``?``s.
+SymbolicState = tuple[CacheState, frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -138,29 +136,28 @@ def symbolic_step(
     """The successors of ``states`` on which an access to ``line`` gives
     ``cls``; ``seen`` holds the lines accessed before this one."""
     fresh = line not in seen
-    promote = config.policy is ReplacementPolicy.PROMOTE_ON_HIT
+    fifo = config.policy is ReplacementPolicy.PURE_FIFO
     successors: set[SymbolicState] = set()
-    for state in states:
-        nxt, got = access(state, line, config)
-        if got is cls:
-            while nxt[-1] is None:  # the capacity implies trailing ``?``s
-                nxt = nxt[:-1]
-            successors.add(nxt)
-        elif fresh:
-            # An unseen line is never resident, so ``access`` missed where a
-            # Hit was observed: the line is one of the ``?``s.  Naming it
-            # adds no trailing ``?``: ``state`` has none, and a named
-            # implicit ``?`` ends the guess.
-            gaps = config.capacity - len(state)
-            if promote:
-                gaps = min(gaps, 1)  # the hit moves it to the front from any gap
-            guesses = [
-                state[:i] + (line,) + state[i + 1 :]
-                for i, slot in enumerate(state)
-                if slot is None
-            ]
-            guesses += [state + (None,) * gap + (line,) for gap in range(gaps)]
-            successors.update(access(guess, line, config)[0] for guess in guesses)
+    for known, floating in states:
+        if line in floating:
+            if cls is Classification.HIT:  # a fifo hit moves nothing
+                successors.add((known, floating))
+            continue
+        nxt, got = access(known, line, config)
+        gaps = config.capacity - len(known)  # the ``?``s
+        if got is not cls:
+            # Only a Hit that ``access`` missed can be right: on an unseen
+            # line in a ``?``, while the floating set still fits them.
+            if fresh and cls is Classification.HIT and len(floating) < gaps:
+                successors.add(
+                    (known, floating | {line}) if fifo else ((line,) + known, floating)
+                )
+        elif got is Classification.HIT or not gaps:
+            successors.add((nxt, floating))
+        else:  # the miss pushes out the last ``?``
+            if len(floating) < gaps:
+                successors.add((nxt, floating))
+            successors.update((nxt, floating - {f}) for f in floating)
     return successors
 
 

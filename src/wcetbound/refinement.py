@@ -1,26 +1,23 @@
 """Feasibility checking and abstract-model refinement.
 
 The initial cache state is unknown, so a classified trace is *feasible*
-when some initial state reproduces its classifications exactly.  Because
-the cache is deterministic, checking ranges over a finite family of
-candidate initial states: ordered arrangements (length <= capacity) of the
-trace's own lines and unused filler lines.  Fillers never hit on the
-trace's accesses and are interchangeable, and any line a state could
-contain beyond the trace's lines behaves like a filler, so the family
-decides feasibility over the unrestricted line universe.  It holds one
-arrangement per filler renaming: the fillers of a state are always the
-lowest unused ids, in increasing order.
+when some initial state reproduces its classifications exactly.  One
+forward sweep decides that: it steps the set of *symbolic* cache states
+that realize the trace so far, by ``cache.symbolic_step``, from the
+unknown start state, which is all ``?``s.  Every initial state is an
+assignment of distinct lines (or never-accessed fillers) to the ``?``s,
+so a trace is feasible exactly when its sweep keeps some state.
+Infeasibility is monotone under extension: a state realizing a window
+also realizes each of its infixes, from the cache it holds when that
+infix begins.  So the shortest, then leftmost, core is found by extending
+each start until its set of states empties.
 
-Infeasible cores are found without that family, by a forward sweep over
-the set of *symbolic* cache states that realize a window so far: their
-``?`` slots stand for residents of the unknown start state, which is all
-``?``s, and ``cache.symbolic_step`` gives the step rules.  Every
-initial state is an assignment of distinct lines (or never-accessed
-fillers) to the ``?``s, so a window is feasible exactly when its sweep
-keeps some state.  Infeasibility is monotone under extension: a state
-realizing a window also realizes each of its infixes, from the cache it
-holds when that infix begins.  So the shortest, then leftmost, core is
-found by extending each start until its set of states empties.
+A realizing state is picked from a finite family of candidate initial
+states: ordered arrangements (length <= capacity) of the trace's own
+lines and unused filler lines, one per filler renaming.  Fillers never
+hit and are interchangeable, and any other line behaves like a filler, so
+the family decides feasibility too.  ``wcetbound feasibility`` walks it
+for its verdict; refinement walks it only to report the final state.
 
 Refinement starts from the universal model and repeatedly removes the
 contains-infix closure of a minimal all-state-infeasible core of the
@@ -71,7 +68,7 @@ class RefinementResult:
     wcet: int
     witness: ClassifiedTrace
     log: tuple[RefinementStep, ...]
-    # The state the final feasibility verdict found to realize the witness.
+    # The first candidate state that realizes the witness.
     initial_state: CacheState
 
 
@@ -159,7 +156,8 @@ def _arrangements(
 def is_feasible_from_some_state(
     trace: ClassifiedTrace, config: CacheConfig
 ) -> FeasibilityVerdict:
-    """Search the candidate family for a state that realizes the trace."""
+    """Search the candidate family, in order, for a state that realizes
+    the trace."""
     lines = tuple(a.line for a in trace)
     for state in candidate_initial_states(lines, config.capacity):
         if realizable_from(state, trace, config):
@@ -167,37 +165,42 @@ def is_feasible_from_some_state(
     return FeasibilityVerdict(False, None)
 
 
-def infeasible_core(
+def _infeasible_prefix(
     trace: ClassifiedTrace, config: CacheConfig
+) -> int | None:
+    """The length of the shortest prefix of ``trace`` that no state
+    realizes, or None when the whole trace is feasible."""
+    states: set[SymbolicState] = {((), frozenset())}  # all ``?``s
+    seen: set[int] = set()
+    for length, a in enumerate(trace, 1):
+        states = symbolic_step(states, a.line, a.cls, seen, config)
+        if not states:
+            return length
+        seen.add(a.line)
+    return None
+
+
+def infeasible_core(
+    trace: ClassifiedTrace, config: CacheConfig, prefix: int | None = None
 ) -> ClassifiedTrace:
     """Minimal contiguous infix that is infeasible from every state.
 
     Returns the shortest such infix, leftmost on ties, so every proper
-    infix of the result is feasible from some state.  Infeasibility is
-    monotone under extension (a state realizing a window realizes each of
-    its infixes too), so the infeasible windows of one start are those of
-    at least some length.  One sweep per start finds that length: it
-    extends the window over the set of symbolic states that realize it,
-    stepped by ``cache.symbolic_step``, until the set empties, and gives
-    up at the best length so far.
-
-    The whole trace qualifies whenever the precondition holds (the trace
-    is realized by no state), so a core is always found.
+    infix of the result is feasible from some state.  One sweep per start
+    finds the shortest infeasible window there, and gives up at the best
+    length so far.  ``prefix`` is what the sweep from start 0 found, when
+    the caller has run it.  The whole trace qualifies whenever the
+    precondition holds (no state realizes it), so a core is always found.
     """
-    best_len, best_start = len(trace) + 1, 0
-    for start in range(len(trace)):
-        states: set[SymbolicState] = {()}  # the unknown start state: all ``?``s
-        seen: set[int] = set()
-        for length, a in enumerate(trace[start : start + best_len - 1], 1):
-            states = symbolic_step(states, a.line, a.cls, seen, config)
-            if not states:
-                best_len, best_start = length, start
-                break
-            seen.add(a.line)
-    if best_len > len(trace):
+    best_len, best_start = prefix or _infeasible_prefix(trace, config), 0
+    if best_len is None:
         raise ValidationError(
             "infeasible_core needs a trace no initial state realizes"
         )
+    for start in range(1, len(trace)):
+        length = _infeasible_prefix(trace[start : start + best_len - 1], config)
+        if length is not None:
+            best_len, best_start = length, start
     return trace[best_start : best_start + best_len]
 
 
@@ -208,12 +211,14 @@ def run_refinement(
 ) -> RefinementResult:
     """Iterate explore / check / exclude until the worst witness is real.
 
-    Starts from the universal model.  Each round explores the current
-    model's worst witness; a feasible witness is exact (everything removed
-    so far is infeasible from every state, so no feasible trace was ever
-    excluded).  An infeasible witness contributes its minimal core's
-    contains-infix closure to the excluded language.  WCETs across rounds
-    never increase because the allowed language only shrinks.
+    Starts from the universal model.  Each round sweeps the current
+    model's worst witness from the unknown start state.  A feasible
+    witness is exact (everything removed so far is infeasible from every
+    state, so no feasible trace was ever excluded), and only then does the
+    candidate family pick the state to report.  An infeasible witness
+    contributes its minimal core's contains-infix closure to the excluded
+    language.  WCETs across rounds never increase because the allowed
+    language only shrinks.
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
@@ -222,25 +227,21 @@ def run_refinement(
     log: list[RefinementStep] = []
     for index in range(1, max_iters + 1):
         result = explore_abstract(program, model, config)
-        verdict = is_feasible_from_some_state(result.witness, config)
-        if verdict.feasible:
-            log.append(
-                RefinementStep(
-                    index, result.wcet, result.witness, True, None,
-                    model.n_states,
-                )
-            )
-            assert result.wcet == trace_time(result.witness, program.durations, config)
-            return RefinementResult(
-                result.wcet, result.witness, tuple(log), verdict.initial_state
-            )
-        core = infeasible_core(result.witness, config)
+        witness = result.witness
+        prefix = _infeasible_prefix(witness, config)
+        core = None if prefix is None else infeasible_core(witness, config, prefix)
         log.append(
             RefinementStep(
-                index, result.wcet, result.witness, False, core,
-                model.n_states,
+                index, result.wcet, witness, core is None, core, model.n_states
             )
         )
+        if core is None:
+            verdict = is_feasible_from_some_state(witness, config)
+            assert verdict.feasible
+            assert result.wcet == trace_time(witness, program.durations, config)
+            return RefinementResult(
+                result.wcet, witness, tuple(log), verdict.initial_state
+            )
         # The core is matched by its (line, classification) symbols: cache
         # behaviour depends on lines only, not on which pc touched them.
         model = subtract(model, infix_language(core, alphabet))

@@ -6,7 +6,8 @@ insertion and promotion.  The production code uses variable-length
 tuples instead; agreement between the two on random access sequences is
 the main correctness evidence.  The symbolic step, whose ``?`` slots
 stand for unknown residents, is checked on fixed cases and against
-``access`` on states with no ``?``.
+``access`` on states with no floating line, where only seen lines move;
+test_refinement checks its sweeps against the enumeration oracles.
 """
 
 import random
@@ -216,47 +217,79 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
-# The symbolic step: None is a ``?`` slot, trailing ``?``s are implicit.
+# The symbolic step: a state is (known lines, floating lines), and the
+# ``capacity - len(known)`` ``?``s behind the known lines stay implicit.
 
 PROMOTE = ReplacementPolicy.PROMOTE_ON_HIT
 FIFO = ReplacementPolicy.PURE_FIFO
 H, M = Classification.HIT, Classification.MISS
+NONE = frozenset()
 
 
 def test_symbolic_resident_hit_follows_access():
     for policy, want in ((PROMOTE, (2, 1)), (FIFO, (1, 2))):
         config = CacheConfig(capacity=3, policy=policy)
-        assert symbolic_step({(1, 2)}, 2, H, {1, 2}, config) == {want}
-        assert symbolic_step({(1, 2)}, 2, M, {1, 2}, config) == set()
+        assert symbolic_step({((1, 2), NONE)}, 2, H, {1, 2}, config) == {(want, NONE)}
+        assert symbolic_step({((1, 2), NONE)}, 2, M, {1, 2}, config) == set()
+    # a floating line is resident too, and a fifo hit on it moves nothing
+    state = ((1,), frozenset({2}))
+    config = CacheConfig(capacity=3, policy=FIFO)
+    assert symbolic_step({state}, 2, H, {1, 2}, config) == {state}
+    assert symbolic_step({state}, 2, M, {1, 2}, config) == set()
 
 
 def test_symbolic_seen_line_not_resident_can_only_miss():
     for policy in ReplacementPolicy:
         config = CacheConfig(capacity=2, policy=policy)
-        assert symbolic_step({(1,)}, 3, H, {1, 3}, config) == set()
-        assert symbolic_step({(1,)}, 3, M, {1, 3}, config) == {(3, 1)}
+        assert symbolic_step({((1,), NONE)}, 3, H, {1, 3}, config) == set()
+        assert symbolic_step({((1,), NONE)}, 3, M, {1, 3}, config) == {((3, 1), NONE)}
 
 
-def test_symbolic_unseen_fifo_hit_names_each_question_mark_in_place():
+def test_symbolic_unseen_fifo_hit_floats_until_the_question_marks_are_full():
     config = CacheConfig(capacity=5, policy=FIFO)
-    got = symbolic_step({(1, None, 2)}, 7, H, {1, 2}, config)
-    assert got == {(1, 7, 2), (1, None, 2, 7), (1, None, 2, None, 7)}
+    # no slot is named: the line joins the floating set
+    got = symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, config)
+    assert got == {((1, 2), frozenset({7}))}
+    got = symbolic_step({((1, 2), frozenset({5, 6}))}, 7, H, {1, 2, 5, 6}, config)
+    assert got == {((1, 2), frozenset({5, 6, 7}))}
+    # three ``?``s hold three floating lines, so a fourth is refused
+    full = ((1, 2), frozenset({5, 6, 7}))
+    assert symbolic_step({full}, 8, H, {1, 2, 5, 6, 7}, config) == set()
     # a full cache with no ``?`` leaves no room for an unseen hit
-    assert symbolic_step({(1, 2)}, 7, H, {1, 2}, CacheConfig(2, policy=FIFO)) == set()
+    assert symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, CacheConfig(2, policy=FIFO)) == set()
 
 
 def test_symbolic_unseen_promote_hit_has_one_successor():
     config = CacheConfig(capacity=4, policy=PROMOTE)
-    assert symbolic_step({(1, 2)}, 7, H, {1, 2}, config) == {(7, 1, 2)}
-    assert symbolic_step({()}, 7, H, set(), config) == {(7,)}
-    assert symbolic_step({(1, 2)}, 7, M, {1, 2}, config) == {(7, 1, 2)}
-    assert symbolic_step({(1, 2)}, 7, H, {1, 2}, CacheConfig(2)) == set()
+    assert symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, config) == {((7, 1, 2), NONE)}
+    assert symbolic_step({((), NONE)}, 7, H, set(), config) == {((7,), NONE)}
+    assert symbolic_step({((1, 2), NONE)}, 7, M, {1, 2}, config) == {((7, 1, 2), NONE)}
+    assert symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, CacheConfig(2)) == set()
 
 
 def test_symbolic_miss_leaves_no_trailing_question_mark():
-    for state in ((1, None, 2), (1, None, None, 2)):
-        config = CacheConfig(capacity=len(state), policy=FIFO)
-        assert symbolic_step({state}, 5, M, {1, 2}, config) == {(5, 1)}
+    # the pushed-out ``?`` is not stored, whatever the number left behind
+    for capacity in (3, 4):
+        config = CacheConfig(capacity=capacity, policy=FIFO)
+        assert symbolic_step({((1, 2), NONE)}, 5, M, {1, 2}, config) == {((5, 1, 2), NONE)}
+    config = CacheConfig(capacity=2, policy=FIFO)
+    assert symbolic_step({((1, 2), NONE)}, 5, M, {1, 2}, config) == {((5, 1), NONE)}
+
+
+def test_symbolic_miss_on_the_last_question_mark_may_evict_a_floating_line():
+    config = CacheConfig(capacity=4, policy=FIFO)
+    state = ((1, 2), frozenset({6}))
+    # two ``?``s: the last one held the floating line, or the other one does
+    assert symbolic_step({state}, 5, M, {1, 2, 6}, config) == {
+        ((5, 1, 2), frozenset({6})),
+        ((5, 1, 2), NONE),
+    }
+    # one ``?`` left, holding 6 or 7: it goes, and the other stays floating
+    state = ((1, 2), frozenset({6, 7}))
+    assert symbolic_step({state}, 5, M, {1, 2, 6, 7}, config) == {
+        ((5, 1, 2), frozenset({7})),
+        ((5, 1, 2), frozenset({6})),
+    }
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -275,5 +308,5 @@ def test_symbolic_step_is_access_on_known_states(
     state = tuple(state[:capacity])
     seen = set(state) | {line} | more_seen
     nxt, got = access(state, line, config)
-    want = {nxt} if got is cls else set()
-    assert symbolic_step({state}, line, cls, seen, config) == want
+    want = {(nxt, NONE)} if got is cls else set()
+    assert symbolic_step({(state, NONE)}, line, cls, seen, config) == want

@@ -13,7 +13,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -45,7 +45,8 @@ from wcetbound import (
     trace_time,
 )
 from wcetbound.classifier import accepts
-from wcetbound.refinement import candidate_initial_states
+import wcetbound.refinement as refinement
+from wcetbound.refinement import _infeasible_prefix, candidate_initial_states
 
 H = Classification.HIT
 M = Classification.MISS
@@ -202,6 +203,27 @@ def test_feasibility_matches_the_full_family_oracle(steps, capacity, policy):
     assert (verdict.feasible, verdict.initial_state) == oracle_feasible(trace, config)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 5), st.sampled_from("HM")), max_size=9),
+    st.integers(1, 5),
+    st.sampled_from(list(ReplacementPolicy)),
+)
+# 1 floats, and the miss on 2 must push it out of the last ``?``
+@example([(1, "H"), (2, "M"), (1, "M")], 2, ReplacementPolicy.PURE_FIFO)
+# 2 floats in the one ``?`` behind 1, so 3 finds no room to hit
+@example([(1, "M"), (2, "H"), (3, "H")], 2, ReplacementPolicy.PURE_FIFO)
+def test_sweep_verdict_matches_the_full_family_oracle(steps, capacity, policy):
+    config = CacheConfig(capacity=capacity, policy=policy)
+    trace = tr(*steps)
+    prefix = _infeasible_prefix(trace, config)
+    assert (prefix is None) == oracle_feasible(trace, config)[0]
+    if prefix is not None:
+        # the sweep stops at the first access no start state realizes
+        assert not oracle_feasible(trace[:prefix], config)[0]
+        assert oracle_feasible(trace[: prefix - 1], config)[0]
+
+
 def test_family_verdict_is_stable_under_larger_universes():
     # feasibility decided over the trace lines + capacity fillers agrees
     # with enumeration over a strictly larger line universe
@@ -303,17 +325,24 @@ def test_core_matches_the_shortest_leftmost_oracle_scan(steps, capacity, policy)
 
 def test_core_at_a_huge_capacity_answers_in_bounded_memory():
     """The core sweep keeps the unknown slots of the start state implicit,
-    so a core that needs no fresh hit is found at any capacity.  A fresh
-    hit under fifo still names any of up to ``capacity`` slots, so such
-    traces still cost time and memory that grow with the capacity."""
+    and a fifo hit on a line not seen before floats without naming one of
+    them, so time and memory follow the trace, not the capacity."""
     code = (
         "from wcetbound import CacheConfig, ReplacementPolicy, simulate\n"
-        "from wcetbound import infeasible_core\n"
+        "from wcetbound import Classification, ClassifiedAccess, infeasible_core\n"
         "for policy in ReplacementPolicy:\n"
         "    config = CacheConfig(capacity=10**9, policy=policy)\n"
         "    miss = simulate(config, (), (2,))\n"
         "    trace = miss + miss\n"
         "    assert infeasible_core(trace, config) == trace, policy\n"
+        "config = CacheConfig(capacity=10**9, policy=ReplacementPolicy.PURE_FIFO)\n"
+        "hit, miss = (ClassifiedAccess(2, 2, c) for c in Classification)\n"
+        "assert infeasible_core((hit, miss), config) == (hit, miss)\n"
+        "hits = tuple(ClassifiedAccess(n, n, hit.cls) for n in range(3, 300))\n"
+        "trace = hits + (hit, miss)\n"
+        "assert infeasible_core(trace, config) == (hit, miss)\n"
+        "trace = (hit,) + hits + (miss,)\n"
+        "assert infeasible_core(trace, config) == trace\n"
         "print('ok')\n"
     )
 
@@ -400,6 +429,36 @@ def test_refinement_matches_the_enumeration_oracle():
         assert result.wcet == oracle_unknown_init(program, config)
         assert result.wcet == trace_time(result.witness, program.durations, config)
         assert realizable_from(result.initial_state, result.witness, config)
+
+
+def test_each_round_verdict_matches_the_oracle():
+    rng = random.Random(73)
+    verdicts = set()
+    for i in range(40):
+        program = random_program(rng, name=f"v{i}")
+        config = random_config(rng)
+        for step in run_refinement(program, config).log:
+            assert step.feasible == oracle_feasible(step.witness, config)[0]
+            verdicts.add(step.feasible)
+    assert verdicts == {True, False}
+
+
+def test_refinement_walks_the_candidate_family_once(monkeypatch):
+    # the sweep decides each round; the family only picks the final state
+    walked = []
+    family_verdict = refinement.is_feasible_from_some_state
+
+    def counted(trace, config):
+        walked.append(trace)
+        return family_verdict(trace, config)
+
+    monkeypatch.setattr(refinement, "is_feasible_from_some_state", counted)
+    rng = random.Random(79)
+    for i in range(20):
+        program = random_program(rng, name=f"w{i}")
+        walked.clear()
+        result = run_refinement(program, random_config(rng))
+        assert walked == [result.witness]
 
 
 def test_refinement_dominates_the_cold_start_bound():
