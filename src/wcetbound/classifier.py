@@ -23,15 +23,19 @@ whose DFA states are sets of letter positions, with no epsilon moves.  The
 ``subtract`` operation removes one language from another; it is how
 refinement rules out behaviours no real cache exhibits.  Its product,
 ``intersect``, keeps only the reachable pairs whose components are both
-live: every pair with a dead component accepts nothing, so all of them
-share one rejecting sink.
+live, numbering pair (qa, qb) as the int ``qa * nb + qb`` for a right
+operand of nb states: every pair with a dead component accepts nothing,
+so all of them share one rejecting sink, ``-1``.  ``minimize`` runs
+Moore's rounds over the whole table, column by column, and its quotient
+keeps only the blocks reachable from the initial one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .cache import Classification, ClassifiedAccess
 from .errors import (
@@ -61,8 +65,8 @@ class ClassifierAutomaton:
 
     ``alphabet`` is sorted and holds no symbol twice.  ``transitions[q]``
     is a tuple with one int per alphabet symbol: column i holds the
-    successor of q on ``alphabet[i]``.  Identity equality only; language
-    comparison goes through ``same_language``.
+    successor of q on ``alphabet[i]``.  Identity equality only; two
+    ``minimize`` results of equal language have equal tables.
     """
 
     alphabet: tuple[AccessSymbol, ...]
@@ -74,17 +78,19 @@ class ClassifierAutomaton:
         n = len(self.transitions)
         if not (0 <= self.initial < n):
             raise ValidationError("initial state out of range")
-        if not all(0 <= q < n for q in self.accepting):
+        accepting = self.accepting
+        if accepting and (min(accepting) < 0 or max(accepting) >= n):
             raise ValidationError("accepting state out of range")
         alphabet = self.alphabet
         if any(a >= b for a, b in zip(alphabet, alphabet[1:])):
             raise ValidationError("alphabet must be sorted, without duplicates")
+        width = len(alphabet)
         for q, row in enumerate(self.transitions):
-            if len(row) != len(alphabet):
+            if len(row) != width:
                 raise ValidationError(
                     f"state {q} is not complete over the alphabet"
                 )
-            if not all(0 <= r < n for r in row):
+            if row and (min(row) < 0 or max(row) >= n):
                 raise ValidationError(f"state {q} has a dangling transition")
 
     @property
@@ -174,27 +180,6 @@ def full_alphabet(lines: Iterable[int]) -> tuple[AccessSymbol, ...]:
     )
 
 
-def accepts(
-    automaton: ClassifierAutomaton,
-    trace: Iterable[ClassifiedAccess | AccessSymbol],
-) -> bool:
-    """Exact-language membership: the word ends in an accepting state."""
-    return automaton.run(as_symbols(trace)) in automaton.accepting
-
-
-def allows(
-    automaton: ClassifierAutomaton,
-    trace: Iterable[ClassifiedAccess | AccessSymbol],
-) -> bool:
-    """Prefix-lens membership: no prefix of the trace goes dead.
-
-    Equivalent to the reached state still being live, since liveness
-    propagates backwards along every path.  The empty trace is allowed
-    exactly when the initial state is live.
-    """
-    return automaton.run(as_symbols(trace)) in automaton.live_states
-
-
 def hit_or_miss(lines: Iterable[int]) -> ClassifierAutomaton:
     """The universal model: every classification of every line is allowed."""
     alphabet = full_alphabet(lines)
@@ -240,9 +225,10 @@ def intersect(
     a: ClassifierAutomaton, b: ClassifierAutomaton
 ) -> ClassifierAutomaton:
     """Product construction over the reachable pairs whose components are
-    both live.  A pair with a dead component accepts nothing, so all such
-    pairs share one rejecting sink (``None`` while numbering) and the
-    language is that of the full product.
+    both live.  While the BFS numbers them, a live pair (qa, qb) is the int
+    ``qa * b.n_states + qb``.  A pair with a dead component accepts nothing,
+    so all such pairs share one rejecting sink, ``-1``, and the language is
+    that of the full product.
     """
     if a.alphabet != b.alphabet:
         differ = sorted(set(a.alphabet) ^ set(b.alphabet))
@@ -252,20 +238,25 @@ def intersect(
         )
     ta, tb = a.transitions, b.transitions
     live_a, live_b = a.live_states, b.live_states
-    sink_row = (None,) * len(a.alphabet)
+    nb = b.n_states
+    sink_row = (-1,) * len(a.alphabet)
 
-    def live_pair(qa: int, qb: int) -> tuple[int, int] | None:
-        return (qa, qb) if qa in live_a and qb in live_b else None
-
-    def step(pair):
-        if pair is None:
+    def step(pair: int):
+        if pair < 0:
             return sink_row
-        return [live_pair(qa, qb) for qa, qb in zip(ta[pair[0]], tb[pair[1]])]
+        qa, qb = divmod(pair, nb)
+        return [
+            ra * nb + rb if ra in live_a and rb in live_b else -1
+            for ra, rb in zip(ta[qa], tb[qb])
+        ]
 
-    pairs, rows = _number(live_pair(a.initial, b.initial), step)
+    qa, qb = a.initial, b.initial
+    pairs, rows = _number(
+        qa * nb + qb if qa in live_a and qb in live_b else -1, step
+    )
     accepting = frozenset(
         i for i, pair in enumerate(pairs)
-        if pair is not None and pair[0] in a.accepting and pair[1] in b.accepting
+        if pair >= 0 and pair // nb in a.accepting and pair % nb in b.accepting
     )
     return ClassifierAutomaton(
         alphabet=a.alphabet,
@@ -278,36 +269,40 @@ def intersect(
 def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
     """Language-preserving minimization with canonical state numbering.
 
-    Moore partition refinement over the reachable part, then a BFS renumber
-    in column order, so equal-language minimal automata come out
-    structurally identical.
+    Moore partition refinement over the whole table, reachable or not,
+    then a BFS renumber of the quotient from the initial block in column
+    order.  A state's block depends on its own language only, and the BFS
+    keeps only the reachable blocks, so equal-language minimal automata
+    come out structurally identical.
     """
-    reach, table = _number(a.initial, a.transitions.__getitem__)
-    block = [0 if q in a.accepting else 1 for q in reach]
+    table = a.transitions
+    # One gather per column; a spare index keeps each gather a tuple when
+    # there is one state, and zip stops at the last state.
+    gathers = [itemgetter(*column, 0) for column in zip(*table)]
+    block = list(map(a.accepting.__contains__, range(len(table))))
     n_blocks = len(set(block))
     while True:
         # A signature holds the state's own block, so each round only
         # splits blocks: the partition is stable once the count stops.
         ids: dict[tuple, int] = {}
         block = [
-            ids.setdefault((block[q], tuple([block[r] for r in row])), len(ids))
-            for q, row in enumerate(table)
+            ids.setdefault(signature, len(ids))
+            for signature in zip(block, *[gather(block) for gather in gathers])
         ]
         if len(ids) == n_blocks:
             break
         n_blocks = len(ids)
-    # Quotient, renumbered by BFS from the initial block.
-    member = {}
-    for q, blk in enumerate(block):
-        member.setdefault(blk, q)
+    # Quotient: any member stands for its block, since the partition is
+    # stable.
+    member = dict(zip(block, range(len(block))))
     blocks, rows = _number(
-        block[0], lambda blk: [block[r] for r in table[member[blk]]]
+        block[a.initial], lambda blk: map(block.__getitem__, table[member[blk]])
     )
     return ClassifierAutomaton(
         alphabet=a.alphabet,
         initial=0,
         accepting=frozenset(
-            i for i, blk in enumerate(blocks) if reach[member[blk]] in a.accepting
+            i for i, blk in enumerate(blocks) if member[blk] in a.accepting
         ),
         transitions=tuple(rows),
     )
@@ -316,16 +311,10 @@ def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
 def subtract(
     a: ClassifierAutomaton, o: ClassifierAutomaton
 ) -> ClassifierAutomaton:
-    """Language difference L(a) minus L(o), minimized."""
+    """Language difference L(a) minus L(o), minimized: the live int-keyed
+    pairs of ``intersect``, then ``minimize``'s whole-table Moore, whose
+    quotient keeps only the reachable blocks."""
     return minimize(intersect(a, complement(o)))
-
-
-def is_empty_language(a: ClassifierAutomaton) -> bool:
-    return a.initial not in a.live_states
-
-
-def same_language(a: ClassifierAutomaton, b: ClassifierAutomaton) -> bool:
-    return is_empty_language(subtract(a, b)) and is_empty_language(subtract(b, a))
 
 
 def infix_language(

@@ -17,6 +17,7 @@ from conftest import (
     random_config,
     random_program,
 )
+from languages import accepts
 from wcetbound import (
     AccessSymbol,
     CacheConfig,
@@ -35,7 +36,6 @@ from wcetbound import (
     simulate,
     trace_time,
 )
-from wcetbound.classifier import accepts
 from wcetbound.cli import main as cli_main
 
 H = Classification.HIT

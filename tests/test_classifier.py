@@ -6,7 +6,11 @@ concatenation dots, which gives an oracle that shares no code with the
 position automaton under test.  The boolean operations are
 cross-checked on random complete DFAs against a walk of the drawn table,
 and ``intersect``, which gives all dead pairs one sink, against the full
-product of every reachable pair.
+product of every reachable pair.  ``intersect`` and ``minimize`` are also
+checked table for table against test-local copies of their earlier form,
+which numbered tuple pairs and ran Moore over the reachable part only.
+Language queries (``accepts``, ``allows``, ``same_language``) come from
+``languages.py``, since the package does not need them.
 """
 
 import itertools
@@ -17,6 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_config, random_program
+from languages import accepts, allows, is_empty_language, same_language
 from wcetbound import (
     AbstractModelEmpty,
     AccessSymbol,
@@ -33,15 +39,10 @@ from wcetbound import (
     intersect,
     minimize,
     parse_model,
+    run_refinement,
     subtract,
 )
-from wcetbound.classifier import (
-    MAX_PATTERN_NESTING,
-    accepts,
-    allows,
-    is_empty_language,
-    same_language,
-)
+from wcetbound.classifier import MAX_PATTERN_NESTING
 
 H = Classification.HIT
 M = Classification.MISS
@@ -317,18 +318,41 @@ def test_operations_demand_matching_alphabets():
         a.step(a.initial, sym(9, "M"))
 
 
-@pytest.mark.parametrize("alphabet, rows", [
-    ((sym(1, "M"), sym(1, "H")), ((0, 0),)),  # unsorted alphabet
-    ((sym(1, "H"), sym(1, "H")), ((0, 0),)),  # duplicated symbol
-    ((sym(1, "H"), sym(1, "M")), ((0,),)),  # short row
-    ((sym(1, "H"), sym(1, "M")), ((0, 1),)),  # successor out of range
-])
-def test_table_format_is_checked(alphabet, rows):
-    with pytest.raises(ValidationError):
-        ClassifierAutomaton(
-            alphabet=alphabet, initial=0, accepting=frozenset({0}),
+UNSORTED = "alphabet must be sorted, without duplicates"
+TABLE_CASES = [
+    ((sym(1, "M"), sym(1, "H")), ((0, 0),), {0}, UNSORTED),
+    ((sym(1, "H"), sym(1, "H")), ((0, 0),), {0}, UNSORTED),
+    ((sym(1, "H"), sym(1, "M")), ((0,),), {0},
+     "state 0 is not complete over the alphabet"),
+    ((sym(1, "H"), sym(1, "M")), ((0, 0), (0, 2)), {0},
+     "state 1 has a dangling transition"),
+    ((sym(1, "H"), sym(1, "M")), ((-1, 0),), {0},
+     "state 0 has a dangling transition"),
+    ((sym(1, "H"), sym(1, "M")), ((0, 0),), {0, 1},
+     "accepting state out of range"),
+    # the empty alphabet is valid, with empty rows: hit_or_miss([]) builds it
+    ((), ((),), {0}, None),
+]
+
+
+# Plain numbered ids, so that a case keeps its name when a field is added.
+@pytest.mark.parametrize(
+    "alphabet, rows, accepting, message", TABLE_CASES,
+    ids=[f"alphabet{i}-rows{i}" for i in range(len(TABLE_CASES))],
+)
+def test_table_format_is_checked(alphabet, rows, accepting, message):
+    def build():
+        return ClassifierAutomaton(
+            alphabet=alphabet, initial=0, accepting=frozenset(accepting),
             transitions=rows,
         )
+
+    if message is None:
+        assert tables(build()) == tables(hit_or_miss([]))
+        return
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
 
 
 ALPHABET_12 = tuple(AccessSymbol(line, cls) for line in LINES for cls in (H, M))
@@ -429,6 +453,156 @@ def test_intersect_minimizes_like_the_full_product(da, db):
     assert (got.transitions, got.accepting, got.initial) == (
         want.transitions, want.accepting, want.initial
     )
+
+
+# --- the update against copies of its earlier form --------------------------
+# ``intersect`` keys a live pair by the int ``qa * nb + qb`` and ``minimize``
+# runs Moore over the whole table.  The copies below keep the earlier form:
+# (qa, qb) tuples with a ``None`` sink, and Moore over the reachable part
+# only.  Both forms must give equal tables, not merely equal languages.
+
+
+def reference_number(start, step):
+    index = {start: 0}
+    states = [start]
+    rows = []
+    for state in states:
+        row = []
+        for nxt in step(state):
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            row.append(index[nxt])
+        rows.append(tuple(row))
+    return states, rows
+
+
+def reference_intersect(
+    a: ClassifierAutomaton, b: ClassifierAutomaton
+) -> ClassifierAutomaton:
+    live_a, live_b = a.live_states, b.live_states
+    sink_row = (None,) * len(a.alphabet)
+
+    def live_pair(qa, qb):
+        return (qa, qb) if qa in live_a and qb in live_b else None
+
+    def step(pair):
+        if pair is None:
+            return sink_row
+        return [
+            live_pair(qa, qb)
+            for qa, qb in zip(a.transitions[pair[0]], b.transitions[pair[1]])
+        ]
+
+    pairs, rows = reference_number(live_pair(a.initial, b.initial), step)
+    return ClassifierAutomaton(
+        alphabet=a.alphabet,
+        initial=0,
+        accepting=frozenset(
+            i for i, pair in enumerate(pairs)
+            if pair is not None
+            and pair[0] in a.accepting and pair[1] in b.accepting
+        ),
+        transitions=tuple(rows),
+    )
+
+
+def reference_minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
+    reach, table = reference_number(a.initial, a.transitions.__getitem__)
+    block = [0 if q in a.accepting else 1 for q in reach]
+    n_blocks = len(set(block))
+    while True:
+        ids: dict = {}
+        block = [
+            ids.setdefault((block[q], tuple([block[r] for r in row])), len(ids))
+            for q, row in enumerate(table)
+        ]
+        if len(ids) == n_blocks:
+            break
+        n_blocks = len(ids)
+    member: dict = {}
+    for q, blk in enumerate(block):
+        member.setdefault(blk, q)
+    blocks, rows = reference_number(
+        block[0], lambda blk: [block[r] for r in table[member[blk]]]
+    )
+    return ClassifierAutomaton(
+        alphabet=a.alphabet,
+        initial=0,
+        accepting=frozenset(
+            i for i, blk in enumerate(blocks) if reach[member[blk]] in a.accepting
+        ),
+        transitions=tuple(rows),
+    )
+
+
+def reachable(dfa) -> set:
+    table, initial, _ = dfa
+    seen, todo = {initial}, [initial]
+    while todo:
+        for r in table[todo.pop()].values():
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return seen
+
+
+@st.composite
+def tables_with_unreachable_states(draw):
+    """A drawn table plus states that nothing reachable leads to, with the
+    state numbers shuffled so that those states sit anywhere."""
+    table, initial, accepting = draw(ANY_TABLE)
+    n = len(table)
+    total = n + draw(st.integers(1, 3))
+    state = st.integers(0, total - 1)
+    table = table + [{s: draw(state) for s in ALPHABET_12} for _ in range(n, total)]
+    accepting = accepting | {q for q in range(n, total) if draw(st.booleans())}
+    new = draw(st.permutations(range(total)))
+    shuffled = [None] * total
+    for q, row in enumerate(table):
+        shuffled[new[q]] = {s: new[r] for s, r in row.items()}
+    return shuffled, new[initial], frozenset(new[q] for q in accepting)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(ANY_TABLE | tables_with_unreachable_states())
+def test_minimize_matches_the_reach_first_moore(dfa):
+    a = automaton_of(dfa)
+    assert tables(minimize(a)) == tables(reference_minimize(a))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(tables_with_unreachable_states())
+def test_drawn_tables_have_unreachable_states(dfa):
+    assert len(reachable(dfa)) < len(dfa[0])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(ANY_TABLE | tables_with_unreachable_states(),
+       ANY_TABLE | tables_with_unreachable_states())
+def test_intersect_matches_the_tuple_pair_product(da, db):
+    a, b = automaton_of(da), automaton_of(db)
+    assert tables(intersect(a, b)) == tables(reference_intersect(a, b))
+
+
+def test_refinement_rounds_match_the_reference_update():
+    # replay each round's core through subtract and through the copies
+    rng = random.Random(22)
+    rounds = 0
+    for _ in range(200):
+        program, config = random_program(rng), random_config(rng)
+        log = run_refinement(program, config).log
+        model = reference = hit_or_miss(program.lines(config))
+        for step, after in zip(log, log[1:]):
+            core = infix_language(step.core, model.alphabet)
+            model = subtract(model, core)
+            reference = reference_minimize(
+                reference_intersect(reference, complement(core))
+            )
+            assert tables(model) == tables(reference)
+            assert model.n_states == after.model_states
+            rounds += 1
+    assert rounds > 250
 
 
 def table_live(dfa) -> set:

@@ -26,6 +26,7 @@ from conftest import (
     random_config,
     random_program,
 )
+from languages import accepts
 from wcetbound import (
     CacheConfig,
     Classification,
@@ -44,7 +45,6 @@ from wcetbound import (
     simulate,
     trace_time,
 )
-from wcetbound.classifier import accepts
 import wcetbound.refinement as refinement
 from wcetbound.refinement import _infeasible_prefix, candidate_initial_states
 
