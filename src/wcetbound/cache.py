@@ -23,6 +23,12 @@ under promote it moves to the front.  A Miss that pushes out the last
 ``?`` branches: the slot held no floating line, when the rest still fit,
 or it held floating line ``f``, for each ``f``.
 
+``infeasible_prefix`` sweeps a classified trace from the unknown start
+state, all ``?``s.  Every initial state is an assignment of distinct lines
+(or never-accessed fillers) to the ``?``s, so a trace is feasible exactly
+when its sweep keeps some state.  Only this module builds or reads a
+symbolic state.
+
 Instructions are identified by their pc; the cache works on lines, with
 line = pc // line_size.
 """
@@ -159,6 +165,20 @@ def symbolic_step(
                 successors.add((nxt, floating))
             successors.update((nxt, floating - {f}) for f in floating)
     return successors
+
+
+def infeasible_prefix(trace: ClassifiedTrace, config: CacheConfig) -> int | None:
+    """The length of the shortest prefix of ``trace`` that no initial
+    state realizes, or None when the whole trace is feasible: one sweep of
+    ``symbolic_step`` from the unknown start state, all ``?``s."""
+    states: set[SymbolicState] = {((), frozenset())}
+    seen: set[int] = set()
+    for length, a in enumerate(trace, 1):
+        states = symbolic_step(states, a.line, a.cls, seen, config)
+        if not states:
+            return length
+        seen.add(a.line)
+    return None
 
 
 def validate_state(state: CacheState, config: CacheConfig) -> None:

@@ -11,9 +11,9 @@ such automata.
 An automaton is a plain table.  Its alphabet is a sorted tuple of distinct
 symbols, and row ``transitions[q]`` is a tuple of ints whose column i holds
 the successor of state q on ``alphabet[i]``.  Only this module reads the
-table or tests liveness: an explorer asks ``ClassifierAutomaton.lens`` for
-the classifications an access may have, and other code steps an automaton
-through ``ClassifierAutomaton.step``.
+table or tests liveness.  Besides the operations below, its one reader is
+``ClassifierAutomaton.lens``: an explorer asks it for the classifications
+an access may have.
 
 Constructors: the universal model ``hit_or_miss``, classification-only
 ``from_pattern`` expressions like ``(M.H.M.M)*``, the contains-infix
@@ -98,24 +98,6 @@ class ClassifierAutomaton:
         return len(self.transitions)
 
     @cached_property
-    def _column(self) -> dict[AccessSymbol, int]:
-        return {sym: i for i, sym in enumerate(self.alphabet)}
-
-    def step(self, state: int, symbol: AccessSymbol) -> int:
-        column = self._column.get(symbol)
-        if column is None:
-            raise AlphabetMismatch(
-                f"symbol {symbol} is not in the automaton's alphabet"
-            )
-        return self.transitions[state][column]
-
-    def run(self, symbols: Iterable[AccessSymbol]) -> int:
-        state = self.initial
-        for sym in symbols:
-            state = self.step(state, sym)
-        return state
-
-    @cached_property
     def live_states(self) -> frozenset[int]:
         """States from which some accepting state is reachable, computed
         once per automaton: ``lens`` and ``intersect`` share it."""
@@ -139,7 +121,8 @@ class ClassifierAutomaton:
         the alphabet lacks, and AbstractModelEmpty if the initial state is dead.
         """
         wanted = full_alphabet(lines)
-        missing = [sym for sym in wanted if sym not in self._column]
+        column = {sym: i for i, sym in enumerate(self.alphabet)}
+        missing = [sym for sym in wanted if sym not in column]
         if missing:
             raise AlphabetMismatch(
                 f"model alphabet lacks program symbols {' '.join(map(str, missing))}"
@@ -149,7 +132,7 @@ class ClassifierAutomaton:
             raise AbstractModelEmpty("the model allows no trace at all")
         columns: dict[int, list[tuple[Classification, int]]] = {}
         for sym in wanted:
-            columns.setdefault(sym.line, []).append((sym.cls, self._column[sym]))
+            columns.setdefault(sym.line, []).append((sym.cls, column[sym]))
 
         def choices(state: int, line: int) -> list[tuple[Classification, int]]:
             row = self.transitions[state]
@@ -162,13 +145,7 @@ def as_symbols(
     trace: Iterable[ClassifiedAccess | AccessSymbol],
 ) -> tuple[AccessSymbol, ...]:
     """Project a classified trace onto its (line, cls) symbols."""
-    out = []
-    for item in trace:
-        if isinstance(item, AccessSymbol):
-            out.append(item)
-        else:
-            out.append(AccessSymbol(item.line, item.cls))
-    return tuple(out)
+    return tuple(AccessSymbol(item.line, item.cls) for item in trace)
 
 
 def full_alphabet(lines: Iterable[int]) -> tuple[AccessSymbol, ...]:
@@ -517,7 +494,9 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
     names: dict[str, int] = {}
     accepting_names: set[str] = set()
     initial_name: str | None = None
+    initial_line = 0
     trans: dict[tuple[str, AccessSymbol], str] = {}
+    named_at: dict[str, int] = {}  # the line that first names each trans state
 
     for line_no, (directive, *args) in token_lines(text):
         if directive == "alphabet":
@@ -543,7 +522,7 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
                 raise ParseError("duplicate initial directive", line_no)
             if len(args) != 1:
                 raise ParseError("initial takes exactly one state name", line_no)
-            initial_name = args[0]
+            initial_name, initial_line = args[0], line_no
         elif directive == "trans":
             if len(args) != 3:
                 raise ParseError("trans takes <from> <symbol> <to>", line_no)
@@ -561,6 +540,8 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
                         line_no,
                     )
                 trans[(src, sym)] = dst
+                named_at.setdefault(src, line_no)
+                named_at.setdefault(dst, line_no)
         else:
             raise ParseError(f"unknown directive {directive!r}", line_no)
 
@@ -571,11 +552,10 @@ def parse_model(text: str, lines: Iterable[int] | None = None) -> ClassifierAuto
     if initial_name is None:
         raise ValidationError("missing initial directive")
     if initial_name not in names:
-        raise ValidationError(f"initial state {initial_name!r} not declared")
-    for (src, _), dst in trans.items():
-        for loc in (src, dst):
-            if loc not in names:
-                raise ValidationError(f"transition uses undeclared state {loc!r}")
+        raise ParseError(f"initial state {initial_name!r} not declared", initial_line)
+    for loc, line_no in named_at.items():
+        if loc not in names:
+            raise ParseError(f"transition uses undeclared state {loc!r}", line_no)
 
     alpha = tuple(sorted(alphabet))
     sink = len(names)

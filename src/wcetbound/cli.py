@@ -19,9 +19,14 @@ records; ``main`` writes them.
 Usage rules live in the parser: ``wcet`` has one sub-parser per analysis,
 each subcommand and analysis declares only the flags it reads, and every
 option value is parsed by the ``type=`` function it is declared with, so a
-bad one is a usage error.  The handlers compute and report; they raise only
-for rules that need file contents or the cache config.  ``main`` builds the
-parser once per process.
+value of the wrong form is a usage error.  Ranges that the library checks
+are not parser rules: ``--capacity`` and ``--line-size`` must be >= 1,
+``--hit`` >= 0 and ``--miss`` >= ``--hit`` (``CacheConfig``), and
+``--max-iters``, ``example --iterations`` and ``sweep --iterations`` must be
+>= 1 and ``example --branches`` >= 0.  Such a value exits 1 with
+``error: … must be >= …`` and no usage line.  The handlers compute and
+report; they raise only for rules that need file contents or the cache
+config.  ``main`` builds the parser once per process.
 """
 
 from __future__ import annotations

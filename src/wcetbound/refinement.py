@@ -2,15 +2,11 @@
 
 The initial cache state is unknown, so a classified trace is *feasible*
 when some initial state reproduces its classifications exactly.  One
-forward sweep decides that: it steps the set of *symbolic* cache states
-that realize the trace so far, by ``cache.symbolic_step``, from the
-unknown start state, which is all ``?``s.  Every initial state is an
-assignment of distinct lines (or never-accessed fillers) to the ``?``s,
-so a trace is feasible exactly when its sweep keeps some state.
-Infeasibility is monotone under extension: a state realizing a window
-also realizes each of its infixes, from the cache it holds when that
-infix begins.  So the shortest, then leftmost, core is found by extending
-each start until its set of states empties.
+forward sweep, ``cache.infeasible_prefix``, decides that.  Infeasibility
+is monotone under extension: a state realizing a window also realizes
+each of its infixes, from the cache it holds when that infix begins.  So
+``infeasible_core`` finds the shortest, then leftmost, core by sweeping
+from each start until its set of states empties.
 
 A realizing state is picked from a finite family of candidate initial
 states: ordered arrangements (length <= capacity) of the trace's own
@@ -19,12 +15,13 @@ hit and are interchangeable, and any other line behaves like a filler, so
 the family decides feasibility too.  ``wcetbound feasibility`` walks it
 for its verdict; refinement walks it only to report the final state.
 
-Refinement starts from the universal model and repeatedly removes the
-contains-infix closure of a minimal all-state-infeasible core of the
-current worst witness.  Any trace containing such a core is infeasible
-regardless of its starting state (the cache is in *some* state when the
-core begins), so removal is sound; the worst witness is removed each
-round, so the finite trace language shrinks and the loop terminates.
+Refinement starts from the universal model.  Each round asks one
+question of the current worst witness: which core, if any, rules it out.
+It removes that core's contains-infix closure.  Any trace containing such
+a core is infeasible regardless of its starting state (the cache is in
+*some* state when the core begins), so removal is sound; the worst
+witness is removed each round, so the finite trace language shrinks and
+the loop terminates.
 """
 
 from __future__ import annotations
@@ -36,9 +33,8 @@ from .cache import (
     CacheConfig,
     CacheState,
     ClassifiedTrace,
-    SymbolicState,
     access,
-    symbolic_step,
+    infeasible_prefix,
 )
 from .classifier import hit_or_miss, infix_language, subtract
 from .errors import IterationBudgetExceeded, ValidationError
@@ -165,40 +161,20 @@ def is_feasible_from_some_state(
     return FeasibilityVerdict(False, None)
 
 
-def _infeasible_prefix(
-    trace: ClassifiedTrace, config: CacheConfig
-) -> int | None:
-    """The length of the shortest prefix of ``trace`` that no state
-    realizes, or None when the whole trace is feasible."""
-    states: set[SymbolicState] = {((), frozenset())}  # all ``?``s
-    seen: set[int] = set()
-    for length, a in enumerate(trace, 1):
-        states = symbolic_step(states, a.line, a.cls, seen, config)
-        if not states:
-            return length
-        seen.add(a.line)
-    return None
-
-
-def infeasible_core(
-    trace: ClassifiedTrace, config: CacheConfig, prefix: int | None = None
-) -> ClassifiedTrace:
-    """Minimal contiguous infix that is infeasible from every state.
+def infeasible_core(trace: ClassifiedTrace, config: CacheConfig) -> ClassifiedTrace:
+    """The minimal contiguous infix that is infeasible from every state,
+    or ``()`` when some state realizes the whole trace.
 
     Returns the shortest such infix, leftmost on ties, so every proper
-    infix of the result is feasible from some state.  One sweep per start
-    finds the shortest infeasible window there, and gives up at the best
-    length so far.  ``prefix`` is what the sweep from start 0 found, when
-    the caller has run it.  The whole trace qualifies whenever the
-    precondition holds (no state realizes it), so a core is always found.
+    infix of the result is feasible from some state.  The sweep from start
+    0 decides the whole trace; each later start sweeps only the windows
+    shorter than the best length so far.
     """
-    best_len, best_start = prefix or _infeasible_prefix(trace, config), 0
+    best_len, best_start = infeasible_prefix(trace, config), 0
     if best_len is None:
-        raise ValidationError(
-            "infeasible_core needs a trace no initial state realizes"
-        )
+        return ()
     for start in range(1, len(trace)):
-        length = _infeasible_prefix(trace[start : start + best_len - 1], config)
+        length = infeasible_prefix(trace[start : start + best_len - 1], config)
         if length is not None:
             best_len, best_start = length, start
     return trace[best_start : best_start + best_len]
@@ -211,14 +187,13 @@ def run_refinement(
 ) -> RefinementResult:
     """Iterate explore / check / exclude until the worst witness is real.
 
-    Starts from the universal model.  Each round sweeps the current
-    model's worst witness from the unknown start state.  A feasible
-    witness is exact (everything removed so far is infeasible from every
-    state, so no feasible trace was ever excluded), and only then does the
-    candidate family pick the state to report.  An infeasible witness
-    contributes its minimal core's contains-infix closure to the excluded
-    language.  WCETs across rounds never increase because the allowed
-    language only shrinks.
+    Starts from the universal model.  Each round asks ``infeasible_core``
+    once about the current model's worst witness.  A witness with no core
+    is feasible and exact (everything removed so far is infeasible from
+    every state, so no feasible trace was ever excluded), and only then
+    does the candidate family pick the state to report.  Otherwise the
+    core's contains-infix closure joins the excluded language.  WCETs
+    across rounds never increase because the allowed language only shrinks.
     """
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
@@ -228,8 +203,7 @@ def run_refinement(
     for index in range(1, max_iters + 1):
         result = explore_abstract(program, model, config)
         witness = result.witness
-        prefix = _infeasible_prefix(witness, config)
-        core = None if prefix is None else infeasible_core(witness, config, prefix)
+        core = infeasible_core(witness, config) or None
         log.append(
             RefinementStep(
                 index, result.wcet, witness, core is None, core, model.n_states

@@ -1,6 +1,6 @@
 """Language queries on classifier automata, used only by the tests.
 
-``accepts`` and ``allows`` read a trace through an automaton's table;
+``accepts`` and ``allows`` walk a trace through an automaton's table;
 ``same_language`` decides equivalence through ``subtract``, so it checks
 the algebra against itself and is best used beside a walk-based oracle.
 """
@@ -13,12 +13,24 @@ from wcetbound import AccessSymbol, ClassifiedAccess, ClassifierAutomaton, subtr
 from wcetbound.classifier import as_symbols
 
 
+def _walk(
+    automaton: ClassifierAutomaton,
+    trace: Iterable[ClassifiedAccess | AccessSymbol],
+) -> int:
+    """The state the automaton's table reaches on the trace's symbols."""
+    column = {sym: i for i, sym in enumerate(automaton.alphabet)}
+    state = automaton.initial
+    for sym in as_symbols(trace):
+        state = automaton.transitions[state][column[sym]]
+    return state
+
+
 def accepts(
     automaton: ClassifierAutomaton,
     trace: Iterable[ClassifiedAccess | AccessSymbol],
 ) -> bool:
     """Exact-language membership: the word ends in an accepting state."""
-    return automaton.run(as_symbols(trace)) in automaton.accepting
+    return _walk(automaton, trace) in automaton.accepting
 
 
 def allows(
@@ -31,7 +43,7 @@ def allows(
     propagates backwards along every path.  The empty trace is allowed
     exactly when the initial state is live.
     """
-    return automaton.run(as_symbols(trace)) in automaton.live_states
+    return _walk(automaton, trace) in automaton.live_states
 
 
 def is_empty_language(a: ClassifierAutomaton) -> bool:

@@ -314,8 +314,6 @@ def test_operations_demand_matching_alphabets():
         subtract(a, b)
     with pytest.raises(AlphabetMismatch):
         intersect(a, b)
-    with pytest.raises(AlphabetMismatch):
-        a.step(a.initial, sym(9, "M"))
 
 
 UNSORTED = "alphabet must be sorted, without duplicates"
@@ -712,6 +710,24 @@ def test_parse_model_errors():
         parse_model("alphabet 1:H\nstate s\n")  # no initial
     with pytest.raises(ValidationError):
         parse_model("alphabet 1:H\ninitial s\n")  # no states
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("alphabet 1:H\nstate s\n\ninitial q  # typo\n",
+     4, "initial state 'q' not declared"),
+    # a state may be declared after a transition names it; the error names
+    # the first line that uses an undeclared one
+    ("alphabet 1:H 1:M 2:H\ntrans s 1:M s\nstate s\ninitial s\n"
+     "trans s 1:H t\ntrans s 2:H t\n",
+     5, "transition uses undeclared state 't'"),
+], ids=["initial", "trans"])
+def test_parse_model_undeclared_states_name_their_line(text, line_no, message):
+    from wcetbound import ParseError
+
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert str(err.value) == f"line {line_no}: {message}"
+    assert err.value.line_no == line_no
 
 
 def test_symbols_render_as_line_and_letter():

@@ -550,6 +550,19 @@ def test_instr_errors_name_their_line(tmp_path, capsys, instr, err):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("model, err", [
+    ("alphabet *:H *:M\nstate ok accepting\ninitial ko\n",
+     "error: line 3: initial state 'ko' not declared\n"),
+    ("alphabet *:H *:M\nstate ok accepting\ninitial ok\ntrans ok *:M ko\n",
+     "error: line 4: transition uses undeclared state 'ko'\n"),
+], ids=["initial", "trans"])
+def test_model_errors_name_their_line(tmp_path, capsys, model, err):
+    prog = write(tmp_path, "chain.prog", CHAIN_121)
+    bad = write(tmp_path, "bad.model", model)
+    assert main(["wcet", "abstract", prog, "--model", bad]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_sweep_table_and_agreement(tmp_path, capsys):
     rec = str(tmp_path / "sweep.rec")
     assert main(["sweep", "--iterations", "3", "--branches", "1..3",

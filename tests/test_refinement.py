@@ -46,7 +46,8 @@ from wcetbound import (
     trace_time,
 )
 import wcetbound.refinement as refinement
-from wcetbound.refinement import _infeasible_prefix, candidate_initial_states
+from wcetbound.cache import infeasible_prefix
+from wcetbound.refinement import candidate_initial_states
 
 H = Classification.HIT
 M = Classification.MISS
@@ -216,7 +217,7 @@ def test_feasibility_matches_the_full_family_oracle(steps, capacity, policy):
 def test_sweep_verdict_matches_the_full_family_oracle(steps, capacity, policy):
     config = CacheConfig(capacity=capacity, policy=policy)
     trace = tr(*steps)
-    prefix = _infeasible_prefix(trace, config)
+    prefix = infeasible_prefix(trace, config)
     assert (prefix is None) == oracle_feasible(trace, config)[0]
     if prefix is not None:
         # the sweep stops at the first access no start state realizes
@@ -298,12 +299,12 @@ def test_core_is_minimal_and_leftmost():
 
 def oracle_core(trace, config):
     """The shortest, then leftmost, infix that ``oracle_feasible`` rejects,
-    or None when the whole trace is feasible."""
+    or ``()`` when the whole trace is feasible."""
     for length in range(1, len(trace) + 1):
         for start in range(len(trace) - length + 1):
             if not oracle_feasible(trace[start : start + length], config)[0]:
                 return trace[start : start + length]
-    return None
+    return ()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -315,12 +316,7 @@ def oracle_core(trace, config):
 def test_core_matches_the_shortest_leftmost_oracle_scan(steps, capacity, policy):
     config = CacheConfig(capacity=capacity, policy=policy)
     trace = tr(*steps)
-    expected = oracle_core(trace, config)
-    if expected is None:
-        with pytest.raises(ValidationError):
-            infeasible_core(trace, config)
-    else:
-        assert infeasible_core(trace, config) == expected
+    assert infeasible_core(trace, config) == oracle_core(trace, config)
 
 
 def test_core_at_a_huge_capacity_answers_in_bounded_memory():
@@ -459,6 +455,24 @@ def test_refinement_walks_the_candidate_family_once(monkeypatch):
         walked.clear()
         result = run_refinement(program, random_config(rng))
         assert walked == [result.witness]
+
+
+def test_refinement_asks_for_one_core_per_round(monkeypatch):
+    # each round's verdict and core come from one infeasible_core call
+    asked = []
+    core_of = refinement.infeasible_core
+
+    def counted(trace, config):
+        asked.append(trace)
+        return core_of(trace, config)
+
+    monkeypatch.setattr(refinement, "infeasible_core", counted)
+    rng = random.Random(83)
+    for i in range(20):
+        program = random_program(rng, name=f"c{i}")
+        asked.clear()
+        log = run_refinement(program, random_config(rng)).log
+        assert asked == [step.witness for step in log]
 
 
 def test_refinement_dominates_the_cold_start_bound():
