@@ -23,11 +23,13 @@ under promote it moves to the front.  A Miss that pushes out the last
 ``?`` branches: the slot held no floating line, when the rest still fit,
 or it held floating line ``f``, for each ``f``.
 
-``infeasible_prefix`` sweeps a classified trace from the unknown start
-state, all ``?``s.  Every initial state is an assignment of distinct lines
-(or never-accessed fillers) to the ``?``s, so a trace is feasible exactly
-when its sweep keeps some state.  Only this module builds or reads a
-symbolic state.
+A ``Sweep`` sweeps classified traces from the unknown start state, all
+``?``s.  Every initial state is an assignment of distinct lines (or
+never-accessed fillers) to the ``?``s, so a trace is feasible exactly when
+its sweep keeps some state.  The sweep is an automaton over (line, cls)
+symbols, built as traces ask for it, so traces that a caller sweeps with
+one ``Sweep`` share every step they have in common; ``infeasible_prefix``
+walks a fresh one.  Only this module builds or reads a symbolic state.
 
 Instructions are identified by their pc; the cache works on lines, with
 line = pc // line_size.
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import ValidationError
 
@@ -133,10 +135,10 @@ def access(
 
 
 def symbolic_step(
-    states: set[SymbolicState],
+    states: Iterable[SymbolicState],
     line: int,
     cls: Classification,
-    seen: set[int],
+    seen: AbstractSet[int],
     config: CacheConfig,
 ) -> set[SymbolicState]:
     """The successors of ``states`` on which an access to ``line`` gives
@@ -167,18 +169,69 @@ def symbolic_step(
     return successors
 
 
+class Sweep:
+    """The sweep from the unknown start state as an automaton over (line,
+    cls) symbols, built as traces ask for it and kept for as many traces
+    as its owner sweeps.
+
+    A node is a set of symbolic states with the lines seen so far; node 0
+    is the unknown start, all ``?``s.  Each (node, symbol) step runs
+    ``symbolic_step`` once, and a step that keeps no state leads to -1:
+    every trace through it is infeasible.  Past ``BUDGET`` stored lines
+    (counted as states times seen lines, which bounds them), the next walk
+    starts a new automaton, so memory stays bounded where walks share no
+    node, as at a capacity far above the trace length.
+    """
+
+    BUDGET = 1 << 20
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.config = config
+        self._forget()
+
+    def _forget(self) -> None:
+        start = (frozenset({((), frozenset())}), frozenset())
+        self.nodes: list[tuple[frozenset[SymbolicState], frozenset[int]]] = [start]
+        self._ids = {start: 0}
+        # Per node, the symbol ``2 * line + cls`` -> the successor node.
+        self._edges: list[dict[int, int]] = [{}]
+        self._size = 0
+
+    def infeasible_prefix(self, trace: ClassifiedTrace) -> int | None:
+        """The length of the shortest prefix of ``trace`` that no initial
+        state realizes, or None when the whole trace is feasible."""
+        if self._size > self.BUDGET:
+            self._forget()
+        edges, node = self._edges, 0
+        for length, a in enumerate(trace, 1):
+            nxt = edges[node].get(2 * a.line + a.cls)
+            if nxt is None:
+                nxt = self._step(node, a.line, a.cls)
+            if nxt < 0:
+                return length
+            node = nxt
+        return None
+
+    def _step(self, node: int, line: int, cls: Classification) -> int:
+        states, seen = self.nodes[node]
+        successors = symbolic_step(states, line, cls, seen, self.config)
+        nxt = -1
+        if successors:
+            key = (frozenset(successors), seen if line in seen else seen | {line})
+            nxt = self._ids.setdefault(key, len(self.nodes))
+            if nxt == len(self.nodes):
+                self.nodes.append(key)
+                self._edges.append({})
+                self._size += len(successors) * len(key[1])
+        self._edges[node][2 * line + cls] = nxt
+        return nxt
+
+
 def infeasible_prefix(trace: ClassifiedTrace, config: CacheConfig) -> int | None:
     """The length of the shortest prefix of ``trace`` that no initial
-    state realizes, or None when the whole trace is feasible: one sweep of
-    ``symbolic_step`` from the unknown start state, all ``?``s."""
-    states: set[SymbolicState] = {((), frozenset())}
-    seen: set[int] = set()
-    for length, a in enumerate(trace, 1):
-        states = symbolic_step(states, a.line, a.cls, seen, config)
-        if not states:
-            return length
-        seen.add(a.line)
-    return None
+    state realizes, or None when the whole trace is feasible: one walk of
+    a fresh ``Sweep``."""
+    return Sweep(config).infeasible_prefix(trace)
 
 
 def validate_state(state: CacheState, config: CacheConfig) -> None:

@@ -21,13 +21,16 @@ language ``infix_language``, and the ``parse_model`` file format.  A
 pattern compiles in one pass: the parser builds its position automaton,
 whose DFA states are sets of letter positions, with no epsilon moves.  The
 ``subtract`` operation removes one language from another; it is how
-refinement rules out behaviours no real cache exhibits.  Its product,
-``intersect``, keeps only the reachable pairs whose components are both
-live, numbering pair (qa, qb) as the int ``qa * nb + qb`` for a right
-operand of nb states: every pair with a dead component accepts nothing,
-so all of them share one rejecting sink, ``-1``.  ``minimize`` runs
-Moore's rounds over the whole table, column by column, and its quotient
-keeps only the blocks reachable from the initial one.
+refinement rules out behaviours no real cache exhibits.  The operations
+share two table-level steps.  The product keeps only the reachable pairs
+whose components are both live, numbering pair (qa, qb) as the int
+``qa * nb + qb`` for a right operand of nb states: every pair with a dead
+component accepts nothing, so all of them share one rejecting sink,
+``-1``.  The quotient runs Moore's rounds over the whole table, column by
+column, and keeps only the blocks reachable from the initial one.
+``intersect`` is the product and ``minimize`` the quotient; ``subtract``
+reads the complement of its right operand off that operand's table and
+feeds the product's table to the quotient, so it builds one automaton.
 """
 
 from __future__ import annotations
@@ -100,19 +103,8 @@ class ClassifierAutomaton:
     @cached_property
     def live_states(self) -> frozenset[int]:
         """States from which some accepting state is reachable, computed
-        once per automaton: ``lens`` and ``intersect`` share it."""
-        pred: dict[int, set[int]] = {q: set() for q in range(self.n_states)}
-        for q, row in enumerate(self.transitions):
-            for nxt in row:
-                pred[nxt].add(q)
-        live = set(self.accepting)
-        todo = list(live)
-        while todo:
-            for p in pred[todo.pop()]:
-                if p not in live:
-                    live.add(p)
-                    todo.append(p)
-        return frozenset(live)
+        once per automaton: ``lens`` and the product share it."""
+        return _coreach(self.transitions, self.accepting)
 
     def lens(self, lines: Iterable[int]) -> Callable[[int, int], list]:
         """The prefix lens as ``choices(state, line)``: the (classification,
@@ -177,6 +169,23 @@ def complement(a: ClassifierAutomaton) -> ClassifierAutomaton:
     )
 
 
+def _coreach(table, targets) -> frozenset[int]:
+    """The states of ``table`` from which some state of ``targets`` is
+    reachable."""
+    pred: list[set[int]] = [set() for _ in table]
+    for q, row in enumerate(table):
+        for nxt in row:
+            pred[nxt].add(q)
+    reached = set(targets)
+    todo = list(reached)
+    while todo:
+        for p in pred[todo.pop()]:
+            if p not in reached:
+                reached.add(p)
+                todo.append(p)
+    return frozenset(reached)
+
+
 def _number(start, step):
     """Number the states reachable from ``start`` in BFS order.
 
@@ -198,23 +207,24 @@ def _number(start, step):
     return states, rows
 
 
-def intersect(
-    a: ClassifierAutomaton, b: ClassifierAutomaton
-) -> ClassifierAutomaton:
-    """Product construction over the reachable pairs whose components are
-    both live.  While the BFS numbers them, a live pair (qa, qb) is the int
-    ``qa * b.n_states + qb``.  A pair with a dead component accepts nothing,
-    so all such pairs share one rejecting sink, ``-1``, and the language is
-    that of the full product.
-    """
+def _same_alphabet(a: ClassifierAutomaton, b: ClassifierAutomaton) -> None:
     if a.alphabet != b.alphabet:
         differ = sorted(set(a.alphabet) ^ set(b.alphabet))
         raise AlphabetMismatch(
             "operations need identical alphabets: "
             f"{' '.join(map(str, differ))} differ"
         )
+
+
+def _product(a: ClassifierAutomaton, b: ClassifierAutomaton, accepting, live):
+    """The table of ``a`` times ``b`` read with ``accepting`` and its live
+    states ``live`` in place of b's own, over the reachable pairs whose
+    components are both live.  While the BFS numbers them, a live pair
+    (qa, qb) is the int ``qa * b.n_states + qb``; a pair with a dead
+    component accepts nothing, so all such pairs share one rejecting
+    sink, ``-1``.  Returns the rows and the accepting state numbers."""
     ta, tb = a.transitions, b.transitions
-    live_a, live_b = a.live_states, b.live_states
+    live_a = a.live_states
     nb = b.n_states
     sink_row = (-1,) * len(a.alphabet)
 
@@ -223,40 +233,27 @@ def intersect(
             return sink_row
         qa, qb = divmod(pair, nb)
         return [
-            ra * nb + rb if ra in live_a and rb in live_b else -1
+            ra * nb + rb if ra in live_a and rb in live else -1
             for ra, rb in zip(ta[qa], tb[qb])
         ]
 
     qa, qb = a.initial, b.initial
-    pairs, rows = _number(
-        qa * nb + qb if qa in live_a and qb in live_b else -1, step
-    )
-    accepting = frozenset(
+    pairs, rows = _number(qa * nb + qb if qa in live_a and qb in live else -1, step)
+    return rows, frozenset(
         i for i, pair in enumerate(pairs)
-        if pair >= 0 and pair // nb in a.accepting and pair % nb in b.accepting
-    )
-    return ClassifierAutomaton(
-        alphabet=a.alphabet,
-        initial=0,
-        accepting=accepting,
-        transitions=tuple(rows),
+        if pair >= 0 and pair // nb in a.accepting and pair % nb in accepting
     )
 
 
-def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
-    """Language-preserving minimization with canonical state numbering.
-
-    Moore partition refinement over the whole table, reachable or not,
+def _quotient(table, accepting, initial):
+    """Moore partition refinement over the whole table, reachable or not,
     then a BFS renumber of the quotient from the initial block in column
-    order.  A state's block depends on its own language only, and the BFS
-    keeps only the reachable blocks, so equal-language minimal automata
-    come out structurally identical.
-    """
-    table = a.transitions
+    order.  Returns the quotient's rows and accepting state numbers; its
+    initial state is 0."""
     # One gather per column; a spare index keeps each gather a tuple when
     # there is one state, and zip stops at the last state.
     gathers = [itemgetter(*column, 0) for column in zip(*table)]
-    block = list(map(a.accepting.__contains__, range(len(table))))
+    block = list(map(accepting.__contains__, range(len(table))))
     n_blocks = len(set(block))
     while True:
         # A signature holds the state's own block, so each round only
@@ -273,25 +270,52 @@ def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
     # stable.
     member = dict(zip(block, range(len(block))))
     blocks, rows = _number(
-        block[a.initial], lambda blk: map(block.__getitem__, table[member[blk]])
+        block[initial], lambda blk: map(block.__getitem__, table[member[blk]])
     )
+    return rows, frozenset(
+        i for i, blk in enumerate(blocks) if member[blk] in accepting
+    )
+
+
+def _automaton(a: ClassifierAutomaton, rows, accepting) -> ClassifierAutomaton:
     return ClassifierAutomaton(
-        alphabet=a.alphabet,
-        initial=0,
-        accepting=frozenset(
-            i for i, blk in enumerate(blocks) if member[blk] in a.accepting
-        ),
-        transitions=tuple(rows),
+        alphabet=a.alphabet, initial=0, accepting=accepting, transitions=tuple(rows)
     )
+
+
+def intersect(
+    a: ClassifierAutomaton, b: ClassifierAutomaton
+) -> ClassifierAutomaton:
+    """Product construction over the reachable pairs whose components are
+    both live, numbered as ``_product`` states.  The language is that of
+    the full product."""
+    _same_alphabet(a, b)
+    return _automaton(a, *_product(a, b, b.accepting, b.live_states))
+
+
+def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
+    """Language-preserving minimization with canonical state numbering.
+
+    A state's block depends on its own language only, and ``_quotient``'s
+    BFS keeps only the reachable blocks, so equal-language minimal
+    automata come out structurally identical.
+    """
+    return _automaton(a, *_quotient(a.transitions, a.accepting, a.initial))
 
 
 def subtract(
     a: ClassifierAutomaton, o: ClassifierAutomaton
 ) -> ClassifierAutomaton:
-    """Language difference L(a) minus L(o), minimized: the live int-keyed
-    pairs of ``intersect``, then ``minimize``'s whole-table Moore, whose
-    quotient keeps only the reachable blocks."""
-    return minimize(intersect(a, complement(o)))
+    """Language difference L(a) minus L(o), minimized, with the tables of
+    ``minimize(intersect(a, complement(o)))``.  The complement is read
+    straight off o's table: its accepting states are o's rejecting ones,
+    and its live states those that reach one.  The product's table goes
+    straight into ``_quotient``, so the result is the only automaton built.
+    """
+    _same_alphabet(a, o)
+    rejecting = frozenset(range(o.n_states)) - o.accepting
+    rows, accepting = _product(a, o, rejecting, _coreach(o.transitions, rejecting))
+    return _automaton(a, *_quotient(rows, accepting, 0))
 
 
 def infix_language(

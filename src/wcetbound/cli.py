@@ -103,13 +103,12 @@ def _render_records(records: Iterable[Record]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_out(path: str | None, text: str) -> None:
-    if path:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except ValueError as exc:  # a NUL byte in the path
-            raise ParseError(f"cannot write {path!r}: {exc}") from None
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except ValueError as exc:  # a NUL byte in the path
+        raise ParseError(f"cannot write {path!r}: {exc}") from None
 
 
 def _state_token(state: CacheState) -> str:
@@ -596,7 +595,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         records = args.handler(args)  # None from example, which writes no report
-        if records is not None:
+        if records is not None and args.out:
             _write_out(args.out, _render_records(records))
         return 0
     except (AnalysisError, OSError) as exc:

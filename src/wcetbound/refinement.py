@@ -2,11 +2,13 @@
 
 The initial cache state is unknown, so a classified trace is *feasible*
 when some initial state reproduces its classifications exactly.  One
-forward sweep, ``cache.infeasible_prefix``, decides that.  Infeasibility
-is monotone under extension: a state realizing a window also realizes
-each of its infixes, from the cache it holds when that infix begins.  So
-``infeasible_core`` finds the shortest, then leftmost, core by sweeping
-from each start until its set of states empties.
+forward sweep from the unknown start, a walk of a ``cache.Sweep``, decides
+that.  Infeasibility is monotone under extension: a state realizing a
+window also realizes each of its infixes, from the cache it holds when
+that infix begins.  So ``infeasible_core`` finds the shortest, then
+leftmost, core by sweeping from each start until its set of states
+empties.  All of its windows walk one ``Sweep``, and refinement keeps one
+for its whole run, so no step is computed twice.
 
 A realizing state is picked from a finite family of candidate initial
 states: ordered arrangements (length <= capacity) of the trace's own
@@ -17,7 +19,8 @@ for its verdict; refinement walks it only to report the final state.
 
 Refinement starts from the universal model.  Each round asks one
 question of the current worst witness: which core, if any, rules it out.
-It removes that core's contains-infix closure.  Any trace containing such
+It removes that core's contains-infix closure with ``subtract``, which
+builds the new model and no other automaton.  Any trace containing such
 a core is infeasible regardless of its starting state (the cache is in
 *some* state when the core begins), so removal is sound; the worst
 witness is removed each round, so the finite trace language shrinks and
@@ -33,8 +36,8 @@ from .cache import (
     CacheConfig,
     CacheState,
     ClassifiedTrace,
+    Sweep,
     access,
-    infeasible_prefix,
 )
 from .classifier import hit_or_miss, infix_language, subtract
 from .errors import IterationBudgetExceeded, ValidationError
@@ -161,20 +164,26 @@ def is_feasible_from_some_state(
     return FeasibilityVerdict(False, None)
 
 
-def infeasible_core(trace: ClassifiedTrace, config: CacheConfig) -> ClassifiedTrace:
+def infeasible_core(
+    trace: ClassifiedTrace, config: CacheConfig, sweep: Sweep | None = None
+) -> ClassifiedTrace:
     """The minimal contiguous infix that is infeasible from every state,
     or ``()`` when some state realizes the whole trace.
 
     Returns the shortest such infix, leftmost on ties, so every proper
     infix of the result is feasible from some state.  The sweep from start
     0 decides the whole trace; each later start sweeps only the windows
-    shorter than the best length so far.
+    shorter than the best length so far.  Every window walks ``sweep``, a
+    ``Sweep`` over ``config`` that a caller may keep across traces, or a
+    fresh one.
     """
-    best_len, best_start = infeasible_prefix(trace, config), 0
+    if sweep is None:
+        sweep = Sweep(config)
+    best_len, best_start = sweep.infeasible_prefix(trace), 0
     if best_len is None:
         return ()
     for start in range(1, len(trace)):
-        length = infeasible_prefix(trace[start : start + best_len - 1], config)
+        length = sweep.infeasible_prefix(trace[start : start + best_len - 1])
         if length is not None:
             best_len, best_start = length, start
     return trace[best_start : best_start + best_len]
@@ -188,7 +197,8 @@ def run_refinement(
     """Iterate explore / check / exclude until the worst witness is real.
 
     Starts from the universal model.  Each round asks ``infeasible_core``
-    once about the current model's worst witness.  A witness with no core
+    once about the current model's worst witness, through the one
+    ``Sweep`` the run keeps.  A witness with no core
     is feasible and exact (everything removed so far is infeasible from
     every state, so no feasible trace was ever excluded), and only then
     does the candidate family pick the state to report.  Otherwise the
@@ -200,10 +210,11 @@ def run_refinement(
     model = hit_or_miss(program.lines(config))
     alphabet = model.alphabet
     log: list[RefinementStep] = []
+    sweep = Sweep(config)
     for index in range(1, max_iters + 1):
         result = explore_abstract(program, model, config)
         witness = result.witness
-        core = infeasible_core(witness, config) or None
+        core = infeasible_core(witness, config, sweep) or None
         log.append(
             RefinementStep(
                 index, result.wcet, witness, core is None, core, model.n_states

@@ -13,6 +13,7 @@ from wcetbound import (
     parse_program,
     serialize_program,
 )
+from wcetbound import cli as cli_module
 from wcetbound import program as program_module
 from wcetbound.cli import build_parser, main
 
@@ -202,6 +203,18 @@ def test_wcet_refine_checks_boundedness_once(tmp_path, capsys, monkeypatch):
     assert main(["wcet", "refine", prog]) == 0
     assert "iterations: 4" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_no_report_is_rendered_without_out(tmp_path, capsys, monkeypatch):
+    def render(records):
+        raise AssertionError("rendered a report that no --out asked for")
+
+    monkeypatch.setattr(cli_module, "_render_records", render)
+    prog = write(tmp_path, "chain.prog", CHAIN_121)
+    assert main(["wcet", "explicit", prog]) == 0
+    assert main(["wcet", "refine", prog]) == 0
+    assert main(["simulate", "--pcs", "1,2,1"]) == 0
+    assert "wcet: 45 cycles" in capsys.readouterr().out
 
 
 def test_wcet_refine_checks_a_claimed_initial_state(tmp_path, capsys):

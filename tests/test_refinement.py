@@ -46,7 +46,7 @@ from wcetbound import (
     trace_time,
 )
 import wcetbound.refinement as refinement
-from wcetbound.cache import infeasible_prefix
+from wcetbound.cache import Sweep, infeasible_prefix
 from wcetbound.refinement import candidate_initial_states
 
 H = Classification.HIT
@@ -319,6 +319,65 @@ def test_core_matches_the_shortest_leftmost_oracle_scan(steps, capacity, policy)
     assert infeasible_core(trace, config) == oracle_core(trace, config)
 
 
+def related_traces(rng, config, count):
+    """Classified runs from random start states, some with one outcome
+    flipped, each followed by one of its own infixes."""
+    traces = []
+    while len(traces) < count:
+        lines = range(1, rng.randint(2, config.capacity + 3))
+        init = tuple(rng.sample(lines, min(config.capacity, rng.randint(0, len(lines)))))
+        pcs = [rng.choice(lines) for _ in range(rng.randint(4, 14))]
+        trace = list(simulate(config, init, pcs))
+        if rng.random() < 0.5:
+            i = rng.randrange(len(trace))
+            a = trace[i]
+            trace[i] = ClassifiedAccess(a.pc, a.line, Classification(1 - a.cls))
+        start = rng.randrange(len(trace) - 1)
+        stop = rng.randint(start + 2, len(trace))
+        traces += [tuple(trace), tuple(trace[start:stop])]
+    return traces
+
+
+def test_a_sweep_kept_across_traces_answers_as_fresh_ones():
+    # run_refinement keeps one Sweep for a whole run; what earlier traces
+    # built must not change a later trace's answers
+    rng = random.Random(97)
+    checked, kinds = 0, set()
+    for policy in ReplacementPolicy:
+        for capacity in (1, 2, 3, 4, 6):
+            config = CacheConfig(capacity=capacity, policy=policy)
+            traces = related_traces(rng, config, 24)
+            rng.shuffle(traces)
+            kept, forgetful = Sweep(config), Sweep(config)
+            forgetful.BUDGET = 40  # starts over every few walks
+            for trace in traces:
+                prefix = kept.infeasible_prefix(trace)
+                core = infeasible_core(trace, config, kept)
+                assert prefix == infeasible_prefix(trace, config)
+                assert core == infeasible_core(trace, config)
+                assert prefix == forgetful.infeasible_prefix(trace)
+                assert core == infeasible_core(trace, config, forgetful)
+                if capacity <= 2:
+                    assert (prefix is None) == oracle_feasible(trace, config)[0]
+                    assert core == oracle_core(trace, config)
+                kinds.add(prefix is None)
+                checked += 1
+    assert checked >= 200 and kinds == {True, False}
+
+
+def test_refinement_keeps_one_sweep_for_the_whole_run(monkeypatch):
+    made = []
+
+    class Counted(Sweep):
+        def __init__(self, config):
+            super().__init__(config)
+            made.append(self)
+
+    monkeypatch.setattr(refinement, "Sweep", Counted)
+    result = run_refinement(chain_program([1, 2, 1]), CacheConfig())
+    assert len(result.log) == 4 and len(made) == 1
+
+
 def test_core_at_a_huge_capacity_answers_in_bounded_memory():
     """The core sweep keeps the unknown slots of the start state implicit,
     and a fifo hit on a line not seen before floats without naming one of
@@ -462,9 +521,9 @@ def test_refinement_asks_for_one_core_per_round(monkeypatch):
     asked = []
     core_of = refinement.infeasible_core
 
-    def counted(trace, config):
+    def counted(trace, config, *rest):
         asked.append(trace)
-        return core_of(trace, config)
+        return core_of(trace, config, *rest)
 
     monkeypatch.setattr(refinement, "infeasible_core", counted)
     rng = random.Random(83)
