@@ -93,14 +93,23 @@ class _Parser(argparse.ArgumentParser):
 def _render_records(records: Iterable[Record]) -> str:
     lines = []
     for rtype, fields in records:
-        parts = [rtype]
-        for key, value in fields:
-            text = str(value)
-            if any(ch.isspace() for ch in text):
-                raise AssertionError(f"machine value may not contain spaces: {text!r}")
-            parts.append(f"{key}={text}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+        parts = [rtype, *[f"{key}={value!s}" for key, value in fields]]
+        line = " ".join(parts)
+        # Splitting the joined line gives its parts back unless some part
+        # holds whitespace (or is empty); only then are the values scanned,
+        # to name the first that holds whitespace.
+        if line.split() != parts:
+            for _, value in fields:
+                text = str(value)
+                if any(ch.isspace() for ch in text):
+                    raise AssertionError(
+                        f"machine value may not contain spaces: {text!r}"
+                    )
+        lines.append(line)
+    # The final newline is an empty last line: adding it after the join
+    # would copy the whole report once more, at the run's memory peak.
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _write_out(path: str, text: str) -> None:
@@ -116,7 +125,7 @@ def _state_token(state: CacheState) -> str:
 
 
 def _witness_text(trace: ClassifiedTrace) -> str:
-    return " ".join(str(a) for a in trace)
+    return " ".join(map(str, trace))
 
 
 def _core_token(core: ClassifiedTrace) -> str:
@@ -194,9 +203,12 @@ def _steps_records(
     trace: ClassifiedTrace, durations, config: CacheConfig
 ) -> list[Record]:
     records: list[Record] = []
+    costs: dict = {}  # (pc, cls) -> StepCost
     clock = 0
     for idx, a in enumerate(trace):
-        cost = step_cost(a.pc, a.cls, durations, config)
+        cost = costs.get((a.pc, a.cls))
+        if cost is None:
+            cost = costs[a.pc, a.cls] = step_cost(a.pc, a.cls, durations, config)
         clock += cost.total
         records.append(
             (

@@ -29,6 +29,9 @@ stays).
 
 Each analysis builds the step of one (pc, classification) once, with its
 cost, when the walk first meets it, and shares it among all product states.
+Likewise ``explore_explicit`` keeps a step cache: it steps each distinct
+(cache state, line) through ``access`` once per analysis, however many
+product states and edges share that pair.
 """
 
 from __future__ import annotations
@@ -151,10 +154,14 @@ def explore_explicit(
 ) -> ExplorationResult:
     """Exact WCET over all runs from a known initial cache state."""
     validate_state(init, config)
+    steps: dict = {}  # (cache, line) -> ((cls, next cache),)
 
     def outcomes(cache, line):
-        nxt, cls = access(cache, line, config)
-        return ((cls, nxt),)
+        step = steps.get((cache, line))
+        if step is None:
+            nxt, cls = access(cache, line, config)
+            step = steps[cache, line] = ((cls, nxt),)
+        return step
 
     best, states = _best_runs(program, config, tuple(init), outcomes)
     assert best is not None, "program validation guarantees a run"

@@ -16,14 +16,18 @@ test corpus, and the text file format.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from operator import itemgetter
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .cache import CacheConfig
 from .errors import BoundExceeded, ParseError, ValidationError, token_lines
 
 Adjacency = dict[str, tuple[tuple[int, str], ...]]
+# A character a name may not hold; ``\s`` matches what ``str.isspace`` does.
+_NOT_IN_NAME = re.compile(r"[\s#]")
 
 
 class Edge(NamedTuple):
@@ -59,8 +63,9 @@ class Program:
     ) -> "Program":
         """Canonical constructor: sorts and dedupes edges, and defaults
         every unlisted pc duration to 1."""
-        canon = tuple(sorted({Edge(*e) for e in edges}))
-        durs = {e.pc: 1 for e in canon}
+        # Sort and dedupe plain tuples; only the distinct ones become Edges.
+        canon = tuple(map(Edge._make, sorted(set(map(tuple, edges)))))
+        durs = dict.fromkeys(sorted(set(map(itemgetter(1), canon))), 1)
         if durations:
             for pc, dur in durations.items():
                 if pc not in durs:
@@ -68,7 +73,7 @@ class Program:
                         f"duration given for pc={pc}, which no edge executes"
                     )
                 durs[pc] = dur
-        return cls(name, entry, end, canon, dict(sorted(durs.items())))
+        return cls(name, entry, end, canon, durs)
 
     @property
     def locations(self) -> frozenset[str]:
@@ -77,8 +82,6 @@ class Program:
         return frozenset({self.entry, self.end}.union(*ends))
 
     def _validate(self) -> None:
-        if not self.name:
-            raise ValidationError("program name must be nonempty")
         succ: dict[str, list[str]] = {}
         for e in self.edges:
             if e.pc < 1:
@@ -93,7 +96,9 @@ class Program:
         for pc, dur in self.durations.items():
             if dur < 0:
                 raise ValidationError(f"duration for pc={pc} must be >= 0")
-        missing = self.locations - _reach(self.entry, succ)
+        locations = {self.entry, self.end}.union(succ, *succ.values())
+        _check_names(self.name, locations)
+        missing = locations - _reach(self.entry, succ)
         if missing:
             raise ValidationError(
                 f"locations unreachable from entry: {sorted(missing)}"
@@ -119,10 +124,12 @@ class Program:
         """
         co = co_reachable(self)
         out: dict[str, list[tuple[int, str]]] = {}
-        for e in self.edges:
-            if e.src in co and e.dst in co:
-                out.setdefault(e.src, []).append((e.pc, e.dst))
-        adjacency = {loc: tuple(sorted(pairs)) for loc, pairs in out.items()}
+        # One sort of the whole edge list (linear on the canonical, already
+        # sorted one) leaves each location's pairs in (pc, destination) order.
+        for src, pc, dst in sorted(self.edges):
+            if src in co and dst in co:
+                out.setdefault(src, []).append((pc, dst))
+        adjacency = {loc: tuple(pairs) for loc, pairs in out.items()}
 
         longest: dict[str, int] = {}
         opened: set[str] = set()
@@ -134,10 +141,11 @@ class Program:
             elif loc in opened:
                 stack.pop()
                 opened.remove(loc)
-                longest[loc] = max(
-                    (1 + longest[dst] for _, dst in adjacency.get(loc, ())),
-                    default=0,
-                )
+                run = 0
+                for _, dst in adjacency.get(loc, ()):
+                    if longest[dst] >= run:
+                        run = longest[dst] + 1
+                longest[loc] = run
             else:
                 opened.add(loc)
                 for _, dst in adjacency.get(loc, ()):
@@ -149,6 +157,21 @@ class Program:
                     if dst not in longest:
                         stack.append(dst)
         return adjacency, longest[self.entry]
+
+
+def _check_names(name: str, locations: AbstractSet[str]) -> None:
+    """The program name and the locations are tokens of the file format:
+    nonempty, with no whitespace and no ``#``.  One join and one search
+    check them all; only a failure scans them, to name the first bad one,
+    the program name before the locations in sorted order."""
+    if not name or "" in locations or _NOT_IN_NAME.search(name + "".join(locations)):
+        kinds = [("program name", name)]
+        kinds += [("location", loc) for loc in sorted(locations)]
+        for kind, bad in kinds:
+            if not bad or _NOT_IN_NAME.search(bad):
+                raise ValidationError(
+                    f"{kind} {bad!r} must be nonempty, with no whitespace or '#'"
+                )
 
 
 def _reach(start: str, step: Mapping[str, list[str]]) -> set[str]:
@@ -166,8 +189,8 @@ def _reach(start: str, step: Mapping[str, list[str]]) -> set[str]:
 def co_reachable(program: Program) -> frozenset[str]:
     """Locations from which the end location is reachable (end included)."""
     pred: dict[str, list[str]] = {}
-    for e in program.edges:
-        pred.setdefault(e.dst, []).append(e.src)
+    for src, _, dst in program.edges:
+        pred.setdefault(dst, []).append(src)
     return frozenset(_reach(program.end, pred))
 
 
@@ -270,7 +293,16 @@ def parse_program(text: str) -> Program:
         except ValueError:
             raise ParseError(f"expected integer after {prefix}", line_no) from None
 
-    for line_no, (directive, *args) in token_lines(text):
+    for line_no, tokens in token_lines(text):
+        # The short path of a well-formed edge line, which cannot fail; any
+        # other line, a malformed edge included, takes the checks below.
+        if len(tokens) == 4 and tokens[0] == "edge" and tokens[3][:3] == "pc=":
+            try:
+                edges.append((tokens[1], int(tokens[3][3:]), tokens[2]))
+                continue
+            except ValueError:
+                pass
+        directive, *args = tokens
         if directive in once:
             if directive in header:
                 raise ParseError(f"duplicate {directive} directive", line_no)
@@ -303,7 +335,7 @@ def parse_program(text: str) -> Program:
     for directive in once:
         if directive not in header:
             raise ValidationError(f"missing {directive} directive")
-    executed = {pc for _, pc, _ in edges}
+    executed = set(map(itemgetter(1), edges))
     for pc, line_no in instr_line.items():
         if pc not in executed:
             raise ParseError(

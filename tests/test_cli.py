@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, human output, machine records."""
 
+import random
 import re
 import resource
 import subprocess
@@ -7,9 +8,11 @@ import sys
 
 import pytest
 
+from conftest import random_config, random_program
 from wcetbound import (
     Program,
     branching_loop_program,
+    explore_explicit,
     parse_program,
     serialize_program,
 )
@@ -110,6 +113,17 @@ def test_example_prints_a_long_run_count_as_a_power(tmp_path, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out.endswith(f" choices, {runs} runs\n")
     assert parse_program(open(out).read()) == branching_loop_program(15000, 1)
+
+
+@pytest.mark.parametrize("name", ["a b", "x#y", "tab\tname", ""])
+def test_example_rejects_a_name_its_file_cannot_carry(tmp_path, capsys, name):
+    # such a file would not parse back, or would read back another name
+    out = tmp_path / "f.prog"
+    argv = ["example", "--iterations", "1", "--name", name, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: program name {name!r} must be nonempty, with no whitespace or '#'\n"
+    assert not out.exists()
 
 
 def test_example_prints_to_stdout_by_default(capsys):
@@ -684,6 +698,93 @@ def test_machine_records_have_no_spaces_in_values(tmp_path, capsys):
                 assert "=" in field
     assert by_type(records_of(rec), "meta")[0]["pattern"] == "(M.H)*"
     capsys.readouterr()
+
+
+def reference_render(records):
+    """The renderer as it was: every value scanned character by character."""
+    lines = []
+    for rtype, fields in records:
+        parts = [rtype]
+        for key, value in fields:
+            text = str(value)
+            if any(ch.isspace() for ch in text):
+                raise AssertionError(f"machine value may not contain spaces: {text!r}")
+            parts.append(f"{key}={text}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def test_renderer_matches_the_per_character_reference(tmp_path, capsys, monkeypatch):
+    rendered = []
+    real = cli_module._render_records
+
+    def render(records):
+        records = list(records)
+        rendered.append(records)
+        return real(records)
+
+    monkeypatch.setattr(cli_module, "_render_records", render)
+    prog = write(tmp_path, "forked.prog", FORKED)
+    trace = write(tmp_path, "bad.trace", INFEASIBLE_TRACE)
+    good = write(tmp_path, "good.trace", FEASIBLE_TRACE)
+    rec = str(tmp_path / "r.rec")
+    for argv in (
+        ["wcet", "explicit", prog, "--init", "state=2"],
+        ["wcet", "abstract", prog, "--pattern", "(M.H)*"],
+        ["wcet", "refine", prog, "--init", "empty"],
+        ["simulate", "--pcs", "1,2,3,1,2", "--capacity", "2"],
+        ["sweep", "--iterations", "2", "--branches", "0..2"],
+        ["feasibility", trace],
+        ["feasibility", good, "--capacity", "3"],
+    ):
+        rendered.clear()
+        assert main(argv + ["--out", rec]) == 0, argv
+        (records,) = rendered
+        assert open(rec).read() == reference_render(records)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\n", "\x1c", "\u2003"])
+def test_renderer_names_a_value_that_holds_whitespace(space):
+    bad = f"a{space}b"
+    records = [
+        ("run", [("command", "wcet"), ("init", "empty")]),
+        ("result", [("wcet", 7), ("note", bad), ("other", f"{space}c")]),
+    ]
+    want = f"machine value may not contain spaces: {bad!r}"
+    for render in (cli_module._render_records, reference_render):
+        with pytest.raises(AssertionError) as err:
+            render(records)
+        assert str(err.value) == want
+
+
+def test_step_records_cost_each_pc_and_classification_once(monkeypatch):
+    asked = []
+    real = cli_module.step_cost
+
+    def counted(pc, cls, durations, config):
+        asked.append((pc, cls))
+        return real(pc, cls, durations, config)
+
+    monkeypatch.setattr(cli_module, "step_cost", counted)
+    rng = random.Random(97)
+    for i in range(40):
+        program = random_program(rng, name=f"s{i}")
+        config = random_config(rng)
+        witness = explore_explicit(program, config).witness
+        asked.clear()
+        records = cli_module._steps_records(witness, program.durations, config)
+        assert sorted(asked) == sorted({(a.pc, a.cls) for a in witness})
+        clock = 0
+        for idx, (a, (rtype, fields)) in enumerate(zip(witness, records)):
+            cost = real(a.pc, a.cls, program.durations, config)
+            clock += cost.total
+            assert (rtype, fields) == ("step", [
+                ("idx", idx), ("pc", a.pc), ("line", a.line),
+                ("cls", a.cls.letter), ("fetch", cost.fetch_cycles),
+                ("execute", cost.execute_cycles), ("clock", clock),
+            ])
+        assert len(records) == len(witness)
 
 
 def test_module_entry_point():

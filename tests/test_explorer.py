@@ -113,6 +113,32 @@ def test_explicit_agrees_with_enumeration_oracle():
         assert res.witness == want_trace  # includes the tie-break order
 
 
+def test_explicit_steps_each_state_and_line_once(monkeypatch):
+    stepped = []
+    real = explorer.access
+
+    def counted(state, line, config):
+        stepped.append((state, line))
+        return real(state, line, config)
+
+    monkeypatch.setattr(explorer, "access", counted)
+    rng = random.Random(89)
+    for i in range(60):
+        program = random_program(rng, name=f"a{i}")
+        config = random_config(rng)
+        stepped.clear()
+        res = explore_explicit(program, config)
+        assert len(stepped) == len(set(stepped))
+        assert (res.wcet, res.witness) == oracle_explicit(program, config)
+    # one step per distinct pair, not per product state: 60 accesses that
+    # cycle three lines through two slots meet five (state, line) pairs,
+    # two while the cache fills and then a cycle of three
+    stepped.clear()
+    res = explore_explicit(chain_program([1, 2, 3] * 20), CacheConfig())
+    assert res.states_explored == 61
+    assert len(stepped) == 5
+
+
 def test_given_initial_state_changes_the_answer():
     program = chain_program([5])
     config = CacheConfig(capacity=2, hit_time=1, miss_time=9)

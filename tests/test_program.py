@@ -274,6 +274,10 @@ edge B C pc=2
 def test_parse_errors_carry_line_numbers():
     cases = [
         ("program p\nentry A\nend B\nedge A B pc=zero\n", "pc"),
+        ("program p\nentry A\nend B\nedge A B pc=\n", "line 4: expected integer after pc="),
+        ("program p\nentry A\nend B\nedge A B pc=1.5\n", "line 4: expected integer after pc="),
+        ("program p\nentry A\nend B\nedge A B dur=1\n", "line 4: expected pc=<int>, got 'dur=1'"),
+        ("program p\nentry A\nend B\nedge A B pc=1 C\n", "line 4: edge takes"),
         ("program p\nentry A\nend B\nbogus A B\n", "bogus"),
         ("program p\nentry A\nend B\nedge A B\n", "edge"),
         ("program p\nprogram q\nentry A\nend B\nedge A B pc=1\n", "program"),
@@ -288,6 +292,20 @@ def test_parse_errors_carry_line_numbers():
             parse_program(text)
         assert "line" in str(err.value)
         assert fragment in str(err.value)
+        # The same error, with its line number moved, among well-formed
+        # edge lines: before every line, or two at the top.
+        line_no = err.value.line_no
+        moved = [
+            ("".join(f"edge A B pc=1\n{line}\n" for line in text.splitlines()), 2 * line_no),
+            ("edge A B pc=1\nedge A B pc=1 # again\n" + text, line_no + 2),
+        ]
+        for padded, want in moved:
+            with pytest.raises(ParseError) as again:
+                parse_program(padded)
+            assert again.value.line_no == want
+            assert str(again.value) == str(err.value).replace(
+                f"line {line_no}:", f"line {want}:"
+            )
 
 
 def test_duplicate_instr_rejected():
@@ -324,3 +342,60 @@ def test_locations_allow_dotted_names():
     text = "program p\nentry blk.0\nend blk.1\nedge blk.0 blk.1 pc=1\n"
     p = parse_program(text)
     assert p.entry == "blk.0"
+
+
+def test_names_the_file_format_cannot_carry_are_rejected():
+    edge = [("A", 1, "B")]
+    cases = [
+        (("", "A", "B", edge), "program name ''"),
+        (("a b", "A", "B", edge), "program name 'a b'"),
+        (("x#y", "A", "B", edge), "program name 'x#y'"),
+        (("p", "A x", "B", [("A x", 1, "B")]), "location 'A x'"),
+        (("p", "A", "B\t", [("A", 1, "B\t")]), "location 'B\\t'"),
+        (("p", "A", "B", [("A", 1, ""), ("", 2, "B")]), "location ''"),
+        (("p", "A", "B", [("A", 1, "C\u2003"), ("C\u2003", 2, "B")]), "location 'C\\u2003'"),
+        # the program name first, then the first bad location in sorted order
+        (("p", "A", "B", [("A", 1, "Z#"), ("A", 2, "Y y"), ("Y y", 3, "B")]), "location 'Y y'"),
+        (("q r", "A", "B", [("A", 1, "Y y"), ("Y y", 2, "B")]), "program name 'q r'"),
+    ]
+    for args, named in cases:
+        with pytest.raises(ValidationError) as err:
+            Program.build(*args)
+        assert str(err.value) == f"{named} must be nonempty, with no whitespace or '#'"
+
+
+names = st.text(max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(names, names, names)
+def test_a_name_is_accepted_exactly_when_its_file_reads_back(name, entry, end):
+    edges = [] if entry == end else [(entry, 1, end)]
+    carried = all(n.split() == [n] and "#" not in n for n in (name, entry, end))
+    try:
+        program = Program.build(name, entry, end, edges)
+    except ValidationError as err:
+        assert not carried
+        assert "must be nonempty, with no whitespace or '#'" in str(err)
+        return
+    assert carried
+    assert parse_program(serialize_program(program)) == program
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(
+    st.randoms(use_true_random=False).map(random_digraph),
+    st.randoms(use_true_random=False).map(random_program),
+))
+def test_parse_round_trip_keeps_the_walk(program):
+    again = parse_program(serialize_program(program))
+    assert again == program
+    try:
+        adjacency, longest = ensure_bounded(program), longest_run(program)
+    except BoundExceeded as err:
+        with pytest.raises(BoundExceeded) as again_err:
+            ensure_bounded(again)
+        assert str(again_err.value) == str(err)
+    else:
+        assert ensure_bounded(again) == adjacency
+        assert longest_run(again) == longest
