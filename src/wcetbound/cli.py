@@ -14,7 +14,10 @@ machine-readable report with ``--out``: line-oriented ``record key=value``
 rows, fully deterministic (sorted, no timestamps), documented in the
 README.  Each subcommand computes every reported value once, prints its
 human line and appends its record from that one value, and returns the
-records; ``main`` writes them.
+records; ``main`` renders and writes them only after the subcommand
+returns, so a failing command writes nothing.  A trace's ``step`` lines are
+made as text when the report is rendered, from one field text per
+(pc, classification), not from a record per step.
 
 Usage rules live in the parser: ``wcet`` has one sub-parser per analysis,
 each subcommand and analysis declares only the flags it reads, and every
@@ -35,7 +38,7 @@ import argparse
 import functools
 import sys
 import time
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cache import (
     CacheConfig,
@@ -71,7 +74,7 @@ from .refinement import (
     realizable_from,
     run_refinement,
 )
-from .timing import step_cost
+from .timing import StepCost, step_cost
 
 Record = tuple[str, list[tuple[str, object]]]
 
@@ -90,9 +93,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _render_records(records: Iterable[Record]) -> str:
+def _render_records(records: Iterable[Record | _Steps]) -> str:
     lines = []
-    for rtype, fields in records:
+    for record in records:
+        if isinstance(record, _Steps):
+            lines.extend(record)
+            continue
+        rtype, fields = record
         parts = [rtype, *[f"{key}={value!s}" for key, value in fields]]
         line = " ".join(parts)
         # Splitting the joined line gives its parts back unless some part
@@ -125,7 +132,12 @@ def _state_token(state: CacheState) -> str:
 
 
 def _witness_text(trace: ClassifiedTrace) -> str:
-    return " ".join(map(str, trace))
+    """The accesses' ``pc:H|M`` tokens, each made once per (pc, cls)."""
+    keys = [(a.pc, a.cls) for a in trace]
+    tokens = dict.fromkeys(keys)
+    for pc, cls in tokens:
+        tokens[pc, cls] = f"{pc}:{cls.letter}"
+    return " ".join(map(tokens.__getitem__, keys))
 
 
 def _core_token(core: ClassifiedTrace) -> str:
@@ -199,35 +211,47 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path!r}: {exc}") from None
 
 
-def _steps_records(
-    trace: ClassifiedTrace, durations, config: CacheConfig
-) -> list[Record]:
-    records: list[Record] = []
-    costs: dict = {}  # (pc, cls) -> StepCost
-    clock = 0
-    for idx, a in enumerate(trace):
-        cost = costs.get((a.pc, a.cls))
-        if cost is None:
-            cost = costs[a.pc, a.cls] = step_cost(a.pc, a.cls, durations, config)
-        clock += cost.total
-        records.append(
-            (
-                "step",
-                [
-                    ("idx", idx),
-                    ("pc", a.pc),
-                    ("line", a.line),
-                    ("cls", a.cls.letter),
-                    ("fetch", cost.fetch_cycles),
-                    ("execute", cost.execute_cycles),
-                    ("clock", clock),
-                ],
+class _Steps:
+    """The ``step`` records of a trace, made as text only when iterated,
+    which only ``_render_records`` does.
+
+    Each line is ``step idx=<i> <fields> clock=<cycles so far>``.  The step
+    cost and the field text ``pc=… line=… cls=… fetch=… execute=…`` are made
+    once per (pc, classification) and shared by every access with that pair.
+    Every value is an int or H/M, so no line needs ``_render_records``'
+    whitespace check."""
+
+    def __init__(self, trace: ClassifiedTrace, durations, config: CacheConfig):
+        self.trace = trace
+        self.durations = durations
+        self.config = config
+        # (pc, cls) -> (cycles, field text, StepCost); the cycles are kept
+        # beside the cost so that a line reads no ``StepCost.total`` property.
+        self._made: dict = {}
+
+    def entry(self, a: ClassifiedAccess) -> tuple[int, str, StepCost]:
+        """The cycles, field text and step cost of an access like ``a``."""
+        entry = self._made.get((a.pc, a.cls))
+        if entry is None:
+            cost = step_cost(a.pc, a.cls, self.durations, self.config)
+            entry = self._made[a.pc, a.cls] = (
+                cost.total,
+                f"pc={a.pc} line={a.line} cls={a.cls.letter} "
+                f"fetch={cost.fetch_cycles} execute={cost.execute_cycles}",
+                cost,
             )
-        )
-    return records
+        return entry
+
+    def __iter__(self) -> Iterator[str]:
+        made = self._made
+        clock = 0
+        for idx, a in enumerate(self.trace):
+            cycles, fields, _ = made.get((a.pc, a.cls)) or self.entry(a)
+            clock += cycles
+            yield f"step idx={idx} {fields} clock={clock}"
 
 
-def cmd_wcet(args) -> list[Record]:
+def cmd_wcet(args) -> list[Record | _Steps]:
     config = _config_from_args(args)
     program = parse_program(_read_file(args.program))
     init = args.init
@@ -295,7 +319,7 @@ def cmd_wcet(args) -> list[Record]:
         _config_record(config, init_token, args),
         ("result", result_fields),
         *iterations,
-        *_steps_records(result.witness, program.durations, config),
+        _Steps(result.witness, program.durations, config),
     ]
 
 
@@ -368,7 +392,7 @@ def cmd_sweep(args) -> list[Record]:
     return records
 
 
-def cmd_simulate(args) -> list[Record]:
+def cmd_simulate(args) -> list[Record | _Steps]:
     config = _config_from_args(args)
     if args.pcs is not None:
         pcs = args.pcs
@@ -387,21 +411,25 @@ def cmd_simulate(args) -> list[Record]:
         source = [("source", "program"), ("program", program.name)]
 
     trace = simulate(config, args.init, pcs)
-    steps = _steps_records(trace, durations, config)
+    steps = _Steps(trace, durations, config)
     print(f"{'#':>3} {'pc':>6} {'line':>6} {'cls':>3} {'fetch':>6} {'exec':>6} {'clock':>8}")
-    widths = (3, 6, 6, 3, 6, 6, 8)  # the fields of a step record, in order
     state = args.init
-    for a, (_, fields) in zip(trace, steps):
+    clock = 0
+    for idx, a in enumerate(trace):
         state, _ = access(state, a.line, config)
-        print(" ".join(f"{value:>{w}}" for (_, value), w in zip(fields, widths)))
+        cycles, _, cost = steps.entry(a)
+        clock += cycles
+        print(
+            f"{idx:>3} {a.pc:>6} {a.line:>6} {a.cls.letter:>3} "
+            f"{cost.fetch_cycles:>6} {cost.execute_cycles:>6} {clock:>8}"
+        )
     cache = _state_token(state)
-    clock = dict(steps[-1][1])["clock"] if steps else 0
     print(f"final cache (most recent first): {cache}")
     print(f"total time: {clock} cycles")
     return [
         ("run", [("command", "simulate")] + source),
         _config_record(config, _init_token(args.init), args),
-        *steps,
+        steps,
         ("final", [("cache", cache), ("accesses", len(trace)), ("time", clock)]),
     ]
 

@@ -7,14 +7,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_config, random_program
 from wcetbound import (
+    Classification,
     Program,
     branching_loop_program,
     explore_explicit,
     parse_program,
     serialize_program,
+    step_cost,
 )
 from wcetbound import cli as cli_module
 from wcetbound import program as program_module
@@ -220,13 +224,17 @@ def test_wcet_refine_checks_boundedness_once(tmp_path, capsys, monkeypatch):
 
 
 def test_no_report_is_rendered_without_out(tmp_path, capsys, monkeypatch):
-    def render(records):
+    def render(*_):
         raise AssertionError("rendered a report that no --out asked for")
 
     monkeypatch.setattr(cli_module, "_render_records", render)
     prog = write(tmp_path, "chain.prog", CHAIN_121)
+    # wcet costs its step lines only when it renders them
+    real_step_cost = cli_module.step_cost
+    monkeypatch.setattr(cli_module, "step_cost", render)
     assert main(["wcet", "explicit", prog]) == 0
     assert main(["wcet", "refine", prog]) == 0
+    monkeypatch.setattr(cli_module, "step_cost", real_step_cost)
     assert main(["simulate", "--pcs", "1,2,1"]) == 0
     assert "wcet: 45 cycles" in capsys.readouterr().out
 
@@ -714,13 +722,36 @@ def reference_render(records):
     return "\n".join(lines) + "\n"
 
 
+def reference_steps(trace, durations, config):
+    """The seven-field ``step`` records of a trace, one step cost per access."""
+    records, clock = [], 0
+    for idx, a in enumerate(trace):
+        cost = step_cost(a.pc, a.cls, durations, config)
+        clock += cost.total
+        records.append(("step", [
+            ("idx", idx), ("pc", a.pc), ("line", a.line), ("cls", a.cls.letter),
+            ("fetch", cost.fetch_cycles), ("execute", cost.execute_cycles),
+            ("clock", clock),
+        ]))
+    return records
+
+
 def test_renderer_matches_the_per_character_reference(tmp_path, capsys, monkeypatch):
     rendered = []
     real = cli_module._render_records
 
     def render(records):
+        # Step lines arrive as text; the reference gets their seven-field
+        # records, rebuilt from the trace they were made from.
         records = list(records)
-        rendered.append(records)
+        rendered.append([
+            rec
+            for item in records
+            for rec in (
+                reference_steps(item.trace, item.durations, item.config)
+                if isinstance(item, cli_module._Steps) else [item]
+            )
+        ])
         return real(records)
 
     monkeypatch.setattr(cli_module, "_render_records", render)
@@ -744,6 +775,44 @@ def test_renderer_matches_the_per_character_reference(tmp_path, capsys, monkeypa
     capsys.readouterr()
 
 
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1))
+def test_explicit_report_matches_the_reference_rendering(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    program = random_program(rng)
+    config = random_config(rng)
+    lines = program.lines(config)
+    init = tuple(rng.sample(lines, rng.randint(0, min(config.capacity, len(lines)))))
+    prog = write(tmp_path, "p.prog", serialize_program(program))
+    rec = tmp_path / "r.rec"
+    argv = [
+        "wcet", "explicit", prog, "--capacity", str(config.capacity),
+        "--hit", str(config.hit_time), "--miss", str(config.miss_time),
+        "--policy", config.policy.value, "--out", str(rec),
+    ]
+    if init:
+        argv += ["--init", "state=" + ",".join(map(str, init))]
+    assert main(argv) == 0
+    capsys.readouterr()
+    result = explore_explicit(program, config, init=init)
+    records = [
+        ("run", [("command", "wcet"), ("mode", "explicit"), ("program", program.name)]),
+        ("config", [
+            ("capacity", config.capacity), ("line_size", 1),
+            ("hit_time", config.hit_time), ("miss_time", config.miss_time),
+            ("policy", config.policy.value),
+            ("init", ",".join(map(str, init)) or "empty"), ("max_len", 10_000),
+        ]),
+        ("result", [
+            ("wcet", result.wcet), ("witness_len", len(result.witness)),
+            ("states_explored", result.states_explored),
+        ]),
+        *reference_steps(result.witness, program.durations, config),
+    ]
+    assert rec.read_text() == reference_render(records)
+
+
 @pytest.mark.parametrize("space", [" ", "\t", "\n", "\x1c", "\u2003"])
 def test_renderer_names_a_value_that_holds_whitespace(space):
     bad = f"a{space}b"
@@ -758,7 +827,7 @@ def test_renderer_names_a_value_that_holds_whitespace(space):
         assert str(err.value) == want
 
 
-def test_step_records_cost_each_pc_and_classification_once(monkeypatch):
+def test_step_records_cost_each_pc_and_classification_once(tmp_path, capsys, monkeypatch):
     asked = []
     real = cli_module.step_cost
 
@@ -773,18 +842,21 @@ def test_step_records_cost_each_pc_and_classification_once(monkeypatch):
         config = random_config(rng)
         witness = explore_explicit(program, config).witness
         asked.clear()
-        records = cli_module._steps_records(witness, program.durations, config)
+        lines = list(cli_module._Steps(witness, program.durations, config))
         assert sorted(asked) == sorted({(a.pc, a.cls) for a in witness})
-        clock = 0
-        for idx, (a, (rtype, fields)) in enumerate(zip(witness, records)):
-            cost = real(a.pc, a.cls, program.durations, config)
-            clock += cost.total
-            assert (rtype, fields) == ("step", [
-                ("idx", idx), ("pc", a.pc), ("line", a.line),
-                ("cls", a.cls.letter), ("fetch", cost.fetch_cycles),
-                ("execute", cost.execute_cycles), ("clock", clock),
-            ])
-        assert len(records) == len(witness)
+        want = reference_steps(witness, program.durations, config)
+        assert lines == [reference_render([record])[:-1] for record in want]
+    # simulate's table and its step lines share one cost per (pc, cls)
+    asked.clear()
+    rec = str(tmp_path / "r.rec")
+    assert main(["simulate", "--pcs", "1,2,1,2,3,1", "--out", rec]) == 0
+    steps = by_type(records_of(rec), "step")
+    assert len(steps) == 6
+    assert sorted(asked) == sorted(
+        {(int(r["pc"]), Classification.from_letter(r["cls"])) for r in steps}
+    )
+    assert len(asked) == 5
+    capsys.readouterr()
 
 
 def test_module_entry_point():
