@@ -8,11 +8,15 @@ location plus the witness trace attaining it.  Since the residual depends
 only on the product state, states differing in accumulated clock merge,
 which is what keeps counts far below the run count.
 
-The walk is one memoized post-order over a plain stack of product states.
-A state is expanded when it first reaches the top: its successor list waits
-in ``pending`` and its successors that are not yet memoized go on the
-stack.  Once they are all memoized it is back on top and is combined from
-their entries.  A state pushed twice is skipped once memoized.
+The walk is one memoized post-order over a plain stack of product states,
+each an int: ``component id * n + location``, where the locations are the
+n numbers of ``ensure_bounded``'s graph and component ids count the
+components in the order the walk meets them.  A state is expanded when it
+is first popped: it pushes its own complement (``~state``), then its
+successors that are not yet memoized.  Popping the complement, once they
+are all memoized, combines the state from their entries; a state with
+none to push is combined at once.  A state pushed twice is skipped once
+memoized.
 
 Memo format: a product state maps to ``(time, first step, next state)`` of
 its best run, to ``(0, None, None)`` at the end location, or to None when
@@ -27,11 +31,14 @@ walking both chains in lockstep to the first differing step, an end (the
 shorter trace is less) or a merge (equal traces: the first combined
 stays).
 
-Each analysis builds the step of one (pc, classification) once, with its
-cost, when the walk first meets it, and shares it among all product states.
-Likewise ``explore_explicit`` keeps a step cache: it steps each distinct
-(cache state, line) through ``access`` once per analysis, however many
-product states and edges share that pair.
+Each analysis keeps one cache of moves per (component, pc), in both modes:
+the (step, cost, next component) of each outcome of that access, shared
+by every product state and edge with that pair.  A move is built once
+from the outcomes of its (component, line), which are asked for once, so
+``explore_explicit`` steps each distinct (cache state, line) through
+``access`` once per analysis, and ``explore_abstract`` asks its lens once
+per (model state, line).  The step of one (pc, classification) and its
+cost are built once and shared by all moves.
 """
 
 from __future__ import annotations
@@ -87,55 +94,81 @@ def _best_runs(
     Returns ((max residual time, lexicographically least witness), states
     expanded); the first component is None when no complete run exists.
     """
-    edges = ensure_bounded(program)
+    graph = ensure_bounded(program)
+    n = len(graph)  # the end is location 0 and the entry location n - 1
     durations = program.durations
-    lines: dict[int, int] = {}  # pc -> line
+    comps = [start]  # component id -> component
+    ids = {start: 0}
+    # Per component id, pc -> ((step, cost, next component id), ...).
+    moves: list[dict[int, tuple]] = [{}]
+    choices: dict = {}  # (component id, line) -> ((cls, next component id), ...)
     steps: dict = {}  # (pc, cls) -> (ClassifiedAccess, cost)
-    memo: dict = {}
-    pending: dict = {}
-    root = (program.entry, start)
+
+    def moves_of(cid: int, pc: int) -> tuple:
+        line = config.line_of(pc)
+        outs = choices.get((cid, line))
+        if outs is None:
+            outs = choices[cid, line] = []
+            for cls, after in outcomes(comps[cid], line):
+                nid = ids.get(after)
+                if nid is None:
+                    nid = ids[after] = len(comps)
+                    comps.append(after)
+                    moves.append({})
+                outs.append((cls, nid))
+        made = []
+        for cls, nid in outs:
+            step = steps.get((pc, cls))
+            if step is None:
+                step = steps[pc, cls] = (
+                    ClassifiedAccess(pc, line, cls),
+                    step_cost(pc, cls, durations, config).total,
+                )
+            made.append((*step, nid))
+        made = moves[cid][pc] = tuple(made)
+        return made
+
+    memo: dict[int, tuple | None] = {}
+    root = n - 1  # component 0 at the entry
     stack = [root]
     while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        succ = pending.pop(key, None)
-        if succ is None:
-            loc, comp = key
-            succ = []
+        key = stack.pop()
+        if key >= 0:
+            if key in memo:
+                continue
+            cid, loc = divmod(key, n)
+            mine = moves[cid]
+            stack.append(~key)
             depth = len(stack)
-            for pc, dst in edges.get(loc, ()):
-                line = lines.get(pc)
-                if line is None:
-                    line = lines[pc] = config.line_of(pc)
-                for cls, after in outcomes(comp, line):
-                    step = steps.get((pc, cls))
-                    if step is None:
-                        step = steps[pc, cls] = (
-                            ClassifiedAccess(pc, line, cls),
-                            step_cost(pc, cls, durations, config).total,
-                        )
-                    nxt = (dst, after)
-                    succ.append((*step, nxt))
+            for pc, dst in graph[loc]:
+                made = mine.get(pc)
+                if made is None:
+                    made = moves_of(cid, pc)
+                for _, _, nid in made:
+                    nxt = nid * n + dst
                     if nxt not in memo:
                         stack.append(nxt)
             if len(stack) > depth:
-                pending[key] = succ
                 continue
-        stack.pop()
-        best = (0, None, None) if key[0] == program.end else None
-        for step, cost, nxt in succ:
-            sub = memo[nxt]
-            if sub is None:
-                continue
-            cand = (cost + sub[0], step, nxt)
-            if (
-                best is None
-                or cand[0] > best[0]
-                or (cand[0] == best[0] and _precedes(memo, cand, best))
-            ):
-                best = cand
+            stack.pop()
+        else:
+            key = ~key
+            cid, loc = divmod(key, n)
+            mine = moves[cid]
+        best = (0, None, None) if loc == 0 else None
+        for pc, dst in graph[loc]:
+            for step, cost, nid in mine[pc]:
+                nxt = nid * n + dst
+                sub = memo[nxt]
+                if sub is None:
+                    continue
+                cand = (cost + sub[0], step, nxt)
+                if (
+                    best is None
+                    or cand[0] > best[0]
+                    or (cand[0] == best[0] and _precedes(memo, cand, best))
+                ):
+                    best = cand
         memo[key] = best
     best = entry = memo[root]
     if best is None:
@@ -154,14 +187,10 @@ def explore_explicit(
 ) -> ExplorationResult:
     """Exact WCET over all runs from a known initial cache state."""
     validate_state(init, config)
-    steps: dict = {}  # (cache, line) -> ((cls, next cache),)
 
     def outcomes(cache, line):
-        step = steps.get((cache, line))
-        if step is None:
-            nxt, cls = access(cache, line, config)
-            step = steps[cache, line] = ((cls, nxt),)
-        return step
+        nxt, cls = access(cache, line, config)
+        return ((cls, nxt),)
 
     best, states = _best_runs(program, config, tuple(init), outcomes)
     assert best is not None, "program validation guarantees a run"

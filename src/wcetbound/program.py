@@ -6,9 +6,13 @@ from the entry location to the end location.  Loop counters are part of the
 location identity, so bounded loops appear unrolled and the automaton of a
 bounded program is acyclic.
 
-One cached walk per ``Program`` instance, a post-order from the entry over
-the locations that can reach the end, finds any cycle there and the longest
-run; ``ensure_bounded``, ``longest_run`` and ``single_run`` read its result.
+Building a ``Program`` makes one successor map of its edges and one walk
+over it, a post-order from the entry (``_walk``).  The walk checks that
+every location is reachable, numbers the locations that can reach the end
+with ints, gives their (pc, destination number) edges and longest runs,
+and detects a cycle among them.  ``ensure_bounded``, ``longest_run`` and
+``single_run`` read its result; only a cycle's error message takes another
+pass, to name the location.
 
 Also provides the parametric branching-loop generator used throughout the
 test corpus, and the text file format.
@@ -18,14 +22,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .cache import CacheConfig
 from .errors import BoundExceeded, ParseError, ValidationError, token_lines
 
-Adjacency = dict[str, tuple[tuple[int, str], ...]]
+# Per location number, its (pc, destination number) edges: see ensure_bounded.
+Graph = tuple[tuple[tuple[int, int], ...], ...]
 # A character a name may not hold; ``\s`` matches what ``str.isspace`` does.
 _NOT_IN_NAME = re.compile(r"[\s#]")
 
@@ -44,6 +48,7 @@ class Program:
     name: str
     entry: str
     end: str
+    # In ``build``'s sorted order, which the walk follows.
     edges: tuple[Edge, ...]
     # Left out of the hash because a dict is unhashable; equal programs
     # still hash equally.
@@ -82,81 +87,49 @@ class Program:
         return frozenset({self.entry, self.end}.union(*ends))
 
     def _validate(self) -> None:
-        succ: dict[str, list[str]] = {}
-        for e in self.edges:
-            if e.pc < 1:
-                raise ValidationError(f"{e}: pc must be >= 1, got {e.pc}")
-            if e.src == self.end:
-                raise ValidationError(
-                    f"end location {self.end!r} must have no outgoing edges"
-                )
-            if e.pc not in self.durations:
-                raise ValidationError(f"{e}: pc={e.pc} has no duration")
-            succ.setdefault(e.src, []).append(e.dst)
-        for pc, dur in self.durations.items():
+        """Check the program and walk its graph once (see ``_walk``); the
+        instance keeps what ``ensure_bounded`` and ``longest_run`` read.
+        Every location must be reachable from the entry: the walk covers
+        them all, so a location it does not reach is an error."""
+        edges, end, durations = self.edges, self.end, self.durations
+        # ``build``'s edges are sorted, so each list is in (pc, dst) order.
+        succ: dict[str, list[Edge]] = {}
+        for e in edges:
+            out = succ.get(e.src)
+            if out is None:
+                out = succ[e.src] = []
+            out.append(e)
+        # One test over every edge; only a failure scans them to name one.
+        pcs = set(map(itemgetter(1), edges))
+        if end in succ or min(pcs, default=1) < 1 or not pcs <= durations.keys():
+            for e in edges:
+                if e.pc < 1:
+                    raise ValidationError(f"{e}: pc must be >= 1, got {e.pc}")
+                if e.src == end:
+                    raise ValidationError(
+                        f"end location {end!r} must have no outgoing edges"
+                    )
+                if e.pc not in durations:
+                    raise ValidationError(f"{e}: pc={e.pc} has no duration")
+        for pc, dur in durations.items():
             if dur < 0:
                 raise ValidationError(f"duration for pc={pc} must be >= 0")
-        locations = {self.entry, self.end}.union(succ, *succ.values())
-        _check_names(self.name, locations)
-        missing = locations - _reach(self.entry, succ)
-        if missing:
+        seen, graph, runs, targets = _walk(self.entry, end, succ)
+        # Every edge out of a reached location reaches its destination.
+        if end not in seen or not succ.keys() <= seen.keys():
+            locations = self.locations
+            _check_names(self.name, locations)
             raise ValidationError(
-                f"locations unreachable from entry: {sorted(missing)}"
+                f"locations unreachable from entry: {sorted(locations - seen.keys())}"
             )
+        _check_names(self.name, seen.keys())
+        # A cycle reaches the end exactly when a back-edge target does (see
+        # ``_walk``); the error names one only when it is raised.
+        cycle = targets if any(seen[t] >= 0 for t in targets) else None
+        object.__setattr__(self, "_walked", (tuple(graph), runs[-1], cycle))
 
     def lines(self, config: CacheConfig) -> tuple[int, ...]:
         return tuple(sorted({config.line_of(pc) for pc in self.durations}))
-
-    @cached_property
-    def _walk(self) -> tuple[Adjacency, int]:
-        """The work of ``ensure_bounded``: the adjacency and the longest
-        run, kept with the instance so its lifetime is the program's.
-
-        One post-order over a plain stack from the entry: a location is
-        opened when it first reaches the top, which pushes its successors,
-        and closed when it is back on top, which records its longest run
-        from theirs.  The open locations are the current path from the
-        entry, so an edge into one closes a cycle.  A location pushed twice
-        is skipped once it is closed.  Validation makes every location
-        reachable from the entry, so the walk meets every location that can
-        reach the end, and anything on a cycle with such a location can
-        reach the end too.
-        """
-        co = co_reachable(self)
-        out: dict[str, list[tuple[int, str]]] = {}
-        # One sort of the whole edge list (linear on the canonical, already
-        # sorted one) leaves each location's pairs in (pc, destination) order.
-        for src, pc, dst in sorted(self.edges):
-            if src in co and dst in co:
-                out.setdefault(src, []).append((pc, dst))
-        adjacency = {loc: tuple(pairs) for loc, pairs in out.items()}
-
-        longest: dict[str, int] = {}
-        opened: set[str] = set()
-        stack = [self.entry]
-        while stack:
-            loc = stack[-1]
-            if loc in longest:
-                stack.pop()
-            elif loc in opened:
-                stack.pop()
-                opened.remove(loc)
-                run = 0
-                for _, dst in adjacency.get(loc, ()):
-                    if longest[dst] >= run:
-                        run = longest[dst] + 1
-                longest[loc] = run
-            else:
-                opened.add(loc)
-                for _, dst in adjacency.get(loc, ()):
-                    if dst in opened:
-                        raise BoundExceeded(
-                            f"cycle through location {dst!r} reaches the end: "
-                            "run lengths are unbounded"
-                        )
-                    if dst not in longest:
-                        stack.append(dst)
-        return adjacency, longest[self.entry]
 
 
 def _check_names(name: str, locations: AbstractSet[str]) -> None:
@@ -174,16 +147,80 @@ def _check_names(name: str, locations: AbstractSet[str]) -> None:
                 )
 
 
-def _reach(start: str, step: Mapping[str, list[str]]) -> set[str]:
-    """Every location reachable from ``start`` along ``step`` (start included)."""
-    seen = {start}
-    todo = [start]
-    while todo:
-        for nxt in step.get(todo.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return seen
+_OPEN = -2  # ``_walk``'s mark of a location whose successors are not done
+
+
+def _walk(
+    entry: str, end: str, succ: Mapping[str, list[Edge]]
+) -> tuple[dict[str, int], list[tuple[tuple[int, int], ...]], list[int], list[str]]:
+    """The one walk of a program: a post-order over a plain stack from the
+    entry.  A location is opened when it first reaches the top, which pushes
+    its successors, and closed when it is back on top.  The open locations
+    are the current path from the entry, so an edge into one is a back edge;
+    its target is recorded, in the order the walk meets it, and not pushed.
+    A location pushed twice is skipped once it is closed.
+
+    Closing a location reads its successors' marks.  Those that can reach
+    the end give its longest run, and its edges into them, as (pc,
+    successor number) pairs; an open successor counts as unable to reach
+    it.  Returns ``seen``, the mark of every reached location: its number
+    in closing order among the locations that can reach the end (the end
+    is 0, the entry last), or -1 when it cannot reach it; and, by number,
+    the edges and the longest runs.  Also returns the back-edge targets.
+
+    A cycle reaches the end exactly when some back-edge target is marked
+    as reaching it:
+
+    - A mark that reads "reaches" is right: it comes from a path to the
+      end.  So a target that reads "reaches" is on a cycle (the one its
+      back edge closes) that reaches the end.
+    - If every target reads "cannot", every mark is exact.  A wrong
+      "cannot" nearest the end has a successor that reads "reaches" and
+      was open when the location closed: a target that reads "reaches".
+    - The first location of a cycle to be opened is a back-edge target:
+      the walk reaches the rest of the cycle while it is open.  If the
+      cycle reaches the end and every target read "cannot", that target's
+      mark would be exact, so it would read "reaches".
+
+    Without such a cycle, a successor that reaches the end is never open
+    when a location closes (it would be on such a cycle), so the longest
+    runs are exact too.
+    """
+    seen: dict[str, int] = {}
+    graph: list[tuple[tuple[int, int], ...]] = []
+    runs: list[int] = []
+    targets: list[str] = []
+    stack = [entry]
+    while stack:
+        loc = stack[-1]
+        mark = seen.get(loc)
+        if mark is None:
+            seen[loc] = _OPEN
+            for _, _, dst in succ.get(loc, ()):
+                got = seen.get(dst)
+                if got is None:
+                    stack.append(dst)
+                elif got == _OPEN:
+                    targets.append(dst)
+            continue
+        stack.pop()
+        if mark != _OPEN:
+            continue
+        run = 0 if loc == end else -1
+        out = []
+        for _, pc, dst in succ.get(loc, ()):
+            got = seen[dst]
+            if got >= 0:
+                out.append((pc, got))
+                if runs[got] >= run:
+                    run = runs[got] + 1
+        if run < 0:
+            seen[loc] = -1
+        else:
+            seen[loc] = len(graph)
+            graph.append(tuple(out))
+            runs.append(run)
+    return seen, graph, runs, targets
 
 
 def co_reachable(program: Program) -> frozenset[str]:
@@ -191,40 +228,58 @@ def co_reachable(program: Program) -> frozenset[str]:
     pred: dict[str, list[str]] = {}
     for src, _, dst in program.edges:
         pred.setdefault(dst, []).append(src)
-    return frozenset(_reach(program.end, pred))
+    seen = {program.end}
+    todo = [program.end]
+    while todo:
+        for nxt in pred.get(todo.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return frozenset(seen)
 
 
-def ensure_bounded(program: Program) -> Adjacency:
-    """Check that the run set is finite; returns the co-reachable adjacency.
+def ensure_bounded(program: Program) -> Graph:
+    """Check that the run set is finite; returns the program's graph.
 
-    The adjacency maps each location that can reach the end, other than the
-    end itself, to its sorted (pc, destination) edges into such locations.
-    A cycle among those locations raises BoundExceeded naming the first
-    location that the walk from the entry re-enters.  The walk (see
-    ``Program._walk``) runs once per program instance and also records the
-    longest run; later calls return the same adjacency, which callers must
-    not mutate.
+    The graph numbers the locations that can reach the end in the order
+    the walk closes them, the end 0 and the entry last; entry i holds
+    location i's (pc, destination number) edges into such locations, in
+    (pc, destination) order.  A cycle among them raises BoundExceeded naming the first
+    back-edge target of the walk (see ``_walk``) that can reach the end:
+    the first location the walk from the entry re-enters on such a cycle.
+    The walk runs once, when the program is built, and also records the
+    longest run; every call returns the same graph, which callers must not
+    mutate.
     """
-    return program._walk[0]
+    graph, _, cycle = program._walked
+    if cycle is not None:
+        live = co_reachable(program)
+        loc = next(t for t in cycle if t in live)
+        raise BoundExceeded(
+            f"cycle through location {loc!r} reaches the end: "
+            "run lengths are unbounded"
+        )
+    return graph
 
 
 def longest_run(program: Program) -> int:
-    """Length of the longest entry-to-end run, from ``ensure_bounded``'s walk."""
-    return program._walk[1]
+    """Length of the longest entry-to-end run, from the program's walk."""
+    ensure_bounded(program)
+    return program._walked[1]
 
 
 def single_run(program: Program) -> tuple[int, ...] | None:
     """The program's only run, or None if it has several.  Walks the set of
-    locations the run so far reaches along ``ensure_bounded``'s adjacency;
-    a second pc out of that set, or a step on past the end, is a second run."""
-    adjacency = ensure_bounded(program)
+    locations the run so far reaches along ``ensure_bounded``'s graph; a
+    second pc out of that set, or a step on past the end, is a second run."""
+    graph = ensure_bounded(program)
     run: list[int] = []
-    here = {program.entry}
+    here = {len(graph) - 1}
     while True:
-        steps = {step for loc in here for step in adjacency.get(loc, ())}
+        steps = {step for loc in here for step in graph[loc]}
         if not steps:
             return tuple(run)
-        if program.end in here or len({pc for pc, _ in steps}) > 1:
+        if 0 in here or len({pc for pc, _ in steps}) > 1:
             return None
         run.append(next(iter(steps))[0])
         here = {dst for _, dst in steps}

@@ -211,11 +211,11 @@ def test_wcet_refine_reports_iterations(tmp_path, capsys):
 
 def test_wcet_refine_checks_boundedness_once(tmp_path, capsys, monkeypatch):
     # the CLI's --max-len check and every refinement round's exploration
-    # share one co-reachable adjacency per program
+    # read the one walk that building the program makes
     calls = []
-    real = program_module.co_reachable
+    real = program_module._walk
     monkeypatch.setattr(
-        program_module, "co_reachable", lambda p: calls.append(p) or real(p)
+        program_module, "_walk", lambda *a: calls.append(a) or real(*a)
     )
     prog = write(tmp_path, "chain.prog", CHAIN_121)
     assert main(["wcet", "refine", prog]) == 0

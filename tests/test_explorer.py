@@ -3,6 +3,7 @@
 import ast
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,17 @@ from conftest import (
 )
 from wcetbound import (
     AbstractModelEmpty,
+    AccessSymbol,
     AlphabetMismatch,
     BoundExceeded,
     CacheConfig,
     Classification,
+    ClassifiedAccess,
     ClassifierAutomaton,
     Program,
     ReplacementPolicy,
     ValidationError,
+    access,
     branching_loop_program,
     complement,
     ensure_bounded,
@@ -39,6 +43,7 @@ from wcetbound import (
     hit_or_miss,
     parse_model,
     simulate,
+    step_cost,
     trace_time,
 )
 from wcetbound import explorer
@@ -126,10 +131,12 @@ def test_explicit_steps_each_state_and_line_once(monkeypatch):
     for i in range(60):
         program = random_program(rng, name=f"a{i}")
         config = random_config(rng)
-        stepped.clear()
-        res = explore_explicit(program, config)
-        assert len(stepped) == len(set(stepped))
-        assert (res.wcet, res.witness) == oracle_explicit(program, config)
+        # with two pcs to a line, a step per (state, pc) would repeat pairs
+        for sized in (config, replace(config, line_size=2)):
+            stepped.clear()
+            res = explore_explicit(program, sized)
+            assert len(stepped) == len(set(stepped))
+            assert (res.wcet, res.witness) == oracle_explicit(program, sized)
     # one step per distinct pair, not per product state: 60 accesses that
     # cycle three lines through two slots meet five (state, line) pairs,
     # two while the cache fills and then a cycle of three
@@ -137,6 +144,128 @@ def test_explicit_steps_each_state_and_line_once(monkeypatch):
     res = explore_explicit(chain_program([1, 2, 3] * 20), CacheConfig())
     assert res.states_explored == 61
     assert len(stepped) == 5
+    # pcs 2 and 3 share line 1: the empty cache, then (1,) for good
+    stepped.clear()
+    res = explore_explicit(chain_program([2, 3] * 10), CacheConfig(line_size=2))
+    assert res.states_explored == 21
+    assert stepped == [((), 1), ((1,), 1)]
+
+
+def reference_precedes(memo, a, b):
+    while True:
+        sa, sb = a[1], b[1]
+        if sa is None or sb is None:
+            return sa is None and sb is not None
+        if (sa.pc, sa.cls) != (sb.pc, sb.cls):
+            return (sa.pc, sa.cls) < (sb.pc, sb.cls)
+        if a[2] == b[2]:
+            return False
+        a, b = memo[a[2]], memo[b[2]]
+
+
+def reference_best_runs(program, config, start, outcomes):
+    """The explorer's search with product states keyed by (location name,
+    component) and the successors of each state built when it is expanded:
+    ((wcet, witness) or None, states expanded)."""
+    pred = {}
+    for src, _, dst in program.edges:
+        pred.setdefault(dst, []).append(src)
+    live, todo = {program.end}, [program.end]
+    while todo:
+        for src in pred.get(todo.pop(), ()):
+            if src not in live:
+                live.add(src)
+                todo.append(src)
+    edges = {}
+    for src, pc, dst in program.edges:
+        if src in live and dst in live:
+            edges.setdefault(src, []).append((pc, dst))
+    memo, pending = {}, {}
+    root = (program.entry, start)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        succ = pending.pop(key, None)
+        if succ is None:
+            loc, comp = key
+            succ = []
+            depth = len(stack)
+            for pc, dst in edges.get(loc, ()):
+                line = config.line_of(pc)
+                for cls, after in outcomes(comp, line):
+                    step = ClassifiedAccess(pc, line, cls)
+                    cost = step_cost(pc, cls, program.durations, config).total
+                    nxt = (dst, after)
+                    succ.append((step, cost, nxt))
+                    if nxt not in memo:
+                        stack.append(nxt)
+            if len(stack) > depth:
+                pending[key] = succ
+                continue
+        stack.pop()
+        best = (0, None, None) if key[0] == program.end else None
+        for step, cost, nxt in succ:
+            sub = memo[nxt]
+            if sub is None:
+                continue
+            cand = (cost + sub[0], step, nxt)
+            if (
+                best is None
+                or cand[0] > best[0]
+                or (cand[0] == best[0] and reference_precedes(memo, cand, best))
+            ):
+                best = cand
+        memo[key] = best
+    best = entry = memo[root]
+    if best is None:
+        return None, len(memo)
+    witness = []
+    while entry[1] is not None:
+        witness.append(entry[1])
+        entry = memo[entry[2]]
+    return (best[0], tuple(witness)), len(memo)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([1, 2]))
+def test_exploration_matches_the_name_keyed_reference(rng, line_size):
+    # both modes, from a drawn start state and under three models: every
+    # classification, the realizable traces, and drawn runs with drawn
+    # classifications, whose trie leaves product states with no complete run
+    program = random_program(rng)
+    config = replace(random_config(rng), line_size=line_size)
+    lines = program.lines(config)
+    k = rng.randint(0, min(config.capacity, 2))
+    init = tuple(rng.sample(sorted({*lines, 0, 9}), k))
+
+    def step(cache, line):
+        after, cls = access(cache, line, config)
+        return ((cls, after),)
+
+    best, states = reference_best_runs(program, config, init, step)
+    res = explore_explicit(program, config, init)
+    assert (res.wcet, res.witness, res.states_explored) == (*best, states)
+
+    runs = oracle_runs(program, 64)
+    words = [as_symbols(simulate(config, (), seq)) for seq in runs]
+    drawn = [
+        tuple(AccessSymbol(config.line_of(pc), rng.choice([H, M])) for pc in seq)
+        for seq in rng.sample(runs, rng.randint(1, len(runs)))
+    ]
+    alphabet = full_alphabet(lines)
+    for model in (
+        hit_or_miss(lines),
+        trie_automaton(words, alphabet),
+        trie_automaton(drawn, alphabet),
+    ):
+        best, states = reference_best_runs(
+            program, config, model.initial, model.lens(lines)
+        )
+        res = explore_abstract(program, model, config)
+        assert (res.wcet, res.witness, res.states_explored) == (*best, states)
 
 
 def test_given_initial_state_changes_the_answer():
@@ -320,7 +449,7 @@ def test_a_chain_deeper_than_the_recursion_limit():
     pcs = [1, 2, 3] * (n // 3)
     program = chain_program(pcs)
     config = CacheConfig()
-    assert len(ensure_bounded(program)) == n
+    assert len(ensure_bounded(program)) == n + 1  # every location, the end too
     assert longest_run(program) == n
     want = n * (config.miss_time + 1)
     assert trace_time(simulate(config, (), pcs), program.durations, config) == want

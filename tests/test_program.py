@@ -214,6 +214,157 @@ def test_program_walk_matches_a_brute_force_oracle(program):
         assert longest_run(program) == max(map(len, runs))
 
 
+def reference_program(name, entry, end, edges, durations):
+    """The constructor's checks and the bounded-run queries, written as
+    three passes over three maps: successors from the entry, predecessors
+    from the end, then a walk that stops at the first re-entered location.
+
+    Raises the constructor's ValidationError.  Otherwise returns (graph,
+    longest run, single run) as ``ensure_bounded``, ``longest_run`` and
+    ``single_run`` give them, or (the BoundExceeded text, None, None).  The
+    graph numbers the locations that can reach the end in the order this
+    walk closes them."""
+    succ: dict[str, list[str]] = {}
+    for e in edges:
+        if e.pc < 1:
+            raise ValidationError(f"{e}: pc must be >= 1, got {e.pc}")
+        if e.src == end:
+            raise ValidationError(f"end location {end!r} must have no outgoing edges")
+        if e.pc not in durations:
+            raise ValidationError(f"{e}: pc={e.pc} has no duration")
+        succ.setdefault(e.src, []).append(e.dst)
+    for pc, dur in durations.items():
+        if dur < 0:
+            raise ValidationError(f"duration for pc={pc} must be >= 0")
+    locations = {entry, end}.union(succ, *succ.values())
+    named = [("program name", name)] + [("location", loc) for loc in sorted(locations)]
+    for kind, bad in named:
+        if not bad or any(c.isspace() or c == "#" for c in bad):
+            raise ValidationError(
+                f"{kind} {bad!r} must be nonempty, with no whitespace or '#'"
+            )
+
+    def reach(start, step):
+        seen, todo = {start}, [start]
+        while todo:
+            for nxt in step.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    missing = locations - reach(entry, succ)
+    if missing:
+        raise ValidationError(f"locations unreachable from entry: {sorted(missing)}")
+    pred: dict[str, list[str]] = {}
+    for src, _, dst in edges:
+        pred.setdefault(dst, []).append(src)
+    live = reach(end, pred)
+    adjacency: dict[str, list[tuple[int, str]]] = {}
+    for src, pc, dst in sorted(edges):
+        if src in live and dst in live:
+            adjacency.setdefault(src, []).append((pc, dst))
+
+    longest: dict[str, int] = {}
+    opened: set[str] = set()
+    stack = [entry]
+    while stack:
+        loc = stack[-1]
+        if loc in longest:
+            stack.pop()
+        elif loc in opened:
+            stack.pop()
+            opened.remove(loc)
+            longest[loc] = max(
+                (longest[dst] + 1 for _, dst in adjacency.get(loc, ())), default=0
+            )
+        else:
+            opened.add(loc)
+            for _, dst in adjacency.get(loc, ()):
+                if dst in opened:
+                    return (
+                        f"cycle through location {dst!r} reaches the end: "
+                        "run lengths are unbounded"
+                    ), None, None
+                if dst not in longest:
+                    stack.append(dst)
+    number = {loc: i for i, loc in enumerate(longest)}
+    graph = tuple(
+        tuple((pc, number[dst]) for pc, dst in adjacency.get(loc, ()))
+        for loc in longest
+    )
+    run, here = [], {entry}
+    while True:
+        steps = {step for loc in here for step in adjacency.get(loc, ())}
+        if not steps:
+            break
+        if end in here or len({pc for pc, _ in steps}) > 1:
+            run = None
+            break
+        run.append(next(iter(steps))[0])
+        here = {dst for _, dst in steps}
+    return graph, longest[entry], None if run is None else tuple(run)
+
+
+@st.composite
+def walk_inputs(draw):
+    """Program fields over up to ten locations: mostly a tree from the entry
+    plus up to twice as many random edges, so cycles, nested and
+    overlapping, are common; sometimes a bad pc, name or duration, an edge
+    out of the end or a location the entry cannot reach."""
+
+    def one_in(k: int) -> bool:
+        return draw(st.integers(1, k)) == 1
+
+    bad_names = st.sampled_from(["", "a b", "x#y"])
+    n = draw(st.integers(1, 10))
+    locs = [f"L{i}" for i in range(n)]
+    if one_in(20):
+        locs[draw(st.integers(0, n - 1))] = draw(bad_names)
+    edges = []
+    if not one_in(10):
+        for i in range(1, n):
+            src = draw(st.sampled_from(locs[:i]))
+            edges.append((src, draw(st.integers(1, 4)), locs[i]))
+    for _ in range(draw(st.integers(0, 2 * n - 2))):
+        src = draw(st.sampled_from(locs if one_in(30) else locs[:-1]))
+        pc = 0 if one_in(50) else draw(st.integers(1, 4))
+        edges.append((src, pc, draw(st.sampled_from(locs))))
+    edges = tuple(map(Edge._make, sorted(set(edges))))
+    durations = {pc: 1 for _, pc, _ in edges}
+    if durations and one_in(20):
+        pc = draw(st.sampled_from(sorted(durations)))
+        if draw(st.booleans()):
+            del durations[pc]
+        else:
+            durations[pc] = -1
+    name = draw(bad_names) if one_in(30) else "g"
+    return name, locs[0], locs[-1], edges, durations
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(walk_inputs())
+def test_program_walk_matches_the_three_pass_reference(fields):
+    try:
+        want = reference_program(*fields)
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as got:
+            Program(*fields)
+        assert str(got.value) == str(err)
+        return
+    program = Program(*fields)
+    graph, longest, single = want
+    if longest is None:
+        for query in (ensure_bounded, longest_run, single_run):
+            with pytest.raises(BoundExceeded) as got:
+                query(program)
+            assert str(got.value) == graph
+    else:
+        assert ensure_bounded(program) == graph
+        assert longest_run(program) == longest
+        assert single_run(program) == single
+
+
 def test_program_errors_show_the_edge_in_file_syntax():
     with pytest.raises(ValidationError) as err:
         parse_program("program p\nentry A\nend B\nedge A B pc=0\n")
@@ -391,11 +542,11 @@ def test_parse_round_trip_keeps_the_walk(program):
     again = parse_program(serialize_program(program))
     assert again == program
     try:
-        adjacency, longest = ensure_bounded(program), longest_run(program)
+        graph, longest = ensure_bounded(program), longest_run(program)
     except BoundExceeded as err:
         with pytest.raises(BoundExceeded) as again_err:
             ensure_bounded(again)
         assert str(again_err.value) == str(err)
     else:
-        assert ensure_bounded(again) == adjacency
+        assert ensure_bounded(again) == graph
         assert longest_run(again) == longest
