@@ -16,20 +16,30 @@ unknown cache is ``((), frozenset())``.  ``floating`` holds the lines a
 fifo Hit found in some ``?`` without naming which (Grund and Reineke's
 fifo phases); the other ``?``s hold lines not yet accessed.  ``symbolic_step``
 steps a set of such states by one observed classification.  A known line
-steps by ``access``, a floating one hits without moving, and any other
-line seen before is not resident.  A Hit on an unseen line is in a ``?``:
-under fifo it floats, while the floating set still fits the ``?``s, and
-under promote it moves to the front.  A Miss that pushes out the last
-``?`` branches: the slot held no floating line, when the rest still fit,
-or it held floating line ``f``, for each ``f``.
+steps by ``access``, and a floating one hits without moving.  A Hit on any
+other line is in a ``?``, while the state has room (fewer floating lines
+than ``?``s): under fifo it floats, and under promote it moves to the
+front.  A Miss that pushes out the last ``?`` branches: the slot held no
+floating line, when the rest still fit, or it held floating line ``f``,
+for each ``f``.
+
+Such a line may have been accessed before, and the step need not know.
+Under promote, known lines leave only once no ``?`` is left, so a state
+with room holds every line accessed so far.  Under fifo, an accessed line
+that a state with room neither knows nor floats was a floating line that
+a Miss pushed out of the last ``?``.  That Miss also kept the sibling in
+which the line still floats, and each later step that leaves the state
+room leaves the sibling's successor too: the same state with the line
+floating.  So a Hit on the line yields exactly that sibling, which the
+set already holds and which the same Hit keeps from itself.
 
 A ``Sweep`` sweeps classified traces from the unknown start state, all
 ``?``s.  Every initial state is an assignment of distinct lines (or
 never-accessed fillers) to the ``?``s, so a trace is feasible exactly when
 its sweep keeps some state.  The sweep is an automaton over (line, cls)
 symbols, built as traces ask for it, so traces that a caller sweeps with
-one ``Sweep`` share every step they have in common; ``infeasible_prefix``
-walks a fresh one.  Only this module builds or reads a symbolic state.
+one ``Sweep`` share every step they have in common.  Only this module
+builds or reads a symbolic state.
 
 Instructions are identified by their pc; the cache works on lines, with
 line = pc // line_size.
@@ -39,7 +49,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from typing import Iterable
 
 from .errors import ValidationError
 
@@ -138,12 +148,10 @@ def symbolic_step(
     states: Iterable[SymbolicState],
     line: int,
     cls: Classification,
-    seen: AbstractSet[int],
     config: CacheConfig,
 ) -> set[SymbolicState]:
     """The successors of ``states`` on which an access to ``line`` gives
-    ``cls``; ``seen`` holds the lines accessed before this one."""
-    fresh = line not in seen
+    ``cls``."""
     fifo = config.policy is ReplacementPolicy.PURE_FIFO
     successors: set[SymbolicState] = set()
     for known, floating in states:
@@ -154,9 +162,9 @@ def symbolic_step(
         nxt, got = access(known, line, config)
         gaps = config.capacity - len(known)  # the ``?``s
         if got is not cls:
-            # Only a Hit that ``access`` missed can be right: on an unseen
-            # line in a ``?``, while the floating set still fits them.
-            if fresh and cls is Classification.HIT and len(floating) < gaps:
+            # Only a Hit that ``access`` missed can be right: on a line in a
+            # ``?``, while the floating set still fits them.
+            if cls is Classification.HIT and len(floating) < gaps:
                 successors.add(
                     (known, floating | {line}) if fifo else ((line,) + known, floating)
                 )
@@ -174,13 +182,13 @@ class Sweep:
     cls) symbols, built as traces ask for it and kept for as many traces
     as its owner sweeps.
 
-    A node is a set of symbolic states with the lines seen so far; node 0
-    is the unknown start, all ``?``s.  Each (node, symbol) step runs
-    ``symbolic_step`` once, and a step that keeps no state leads to -1:
-    every trace through it is infeasible.  Past ``BUDGET`` stored lines
-    (counted as states times seen lines, which bounds them), the next walk
-    starts a new automaton, so memory stays bounded where walks share no
-    node, as at a capacity far above the trace length.
+    A node is a set of symbolic states; node 0 is the unknown start, all
+    ``?``s.  Each (node, symbol) step runs ``symbolic_step`` once, and a
+    step that keeps no state leads to -1: every trace through it is
+    infeasible.  Past ``BUDGET`` stored lines (known and floating, over
+    the states of each node), the next walk starts a new automaton, so
+    memory stays bounded where walks share no node, as at a capacity far
+    above the trace length.
     """
 
     BUDGET = 1 << 20
@@ -190,8 +198,8 @@ class Sweep:
         self._forget()
 
     def _forget(self) -> None:
-        start = (frozenset({((), frozenset())}), frozenset())
-        self.nodes: list[tuple[frozenset[SymbolicState], frozenset[int]]] = [start]
+        start = frozenset({((), frozenset())})
+        self.nodes: list[frozenset[SymbolicState]] = [start]
         self._ids = {start: 0}
         # Per node, the symbol ``2 * line + cls`` -> the successor node.
         self._edges: list[dict[int, int]] = [{}]
@@ -213,25 +221,17 @@ class Sweep:
         return None
 
     def _step(self, node: int, line: int, cls: Classification) -> int:
-        states, seen = self.nodes[node]
-        successors = symbolic_step(states, line, cls, seen, self.config)
+        successors = symbolic_step(self.nodes[node], line, cls, self.config)
         nxt = -1
         if successors:
-            key = (frozenset(successors), seen if line in seen else seen | {line})
+            key = frozenset(successors)
             nxt = self._ids.setdefault(key, len(self.nodes))
             if nxt == len(self.nodes):
                 self.nodes.append(key)
                 self._edges.append({})
-                self._size += len(successors) * len(key[1])
+                self._size += sum(len(k) + len(f) for k, f in key)
         self._edges[node][2 * line + cls] = nxt
         return nxt
-
-
-def infeasible_prefix(trace: ClassifiedTrace, config: CacheConfig) -> int | None:
-    """The length of the shortest prefix of ``trace`` that no initial
-    state realizes, or None when the whole trace is feasible: one walk of
-    a fresh ``Sweep``."""
-    return Sweep(config).infeasible_prefix(trace)
 
 
 def validate_state(state: CacheState, config: CacheConfig) -> None:

@@ -5,15 +5,16 @@ would: a fixed-size array with empty slots, explicit shift loops for
 insertion and promotion.  The production code uses variable-length
 tuples instead; agreement between the two on random access sequences is
 the main correctness evidence.  The symbolic step, whose ``?`` slots
-stand for unknown residents, is checked on fixed cases and against
-``access`` on states with no floating line, where only seen lines move;
+stand for unknown residents, is checked on fixed cases, against
+``access`` on full states (no ``?``), and against ``seen_step``, a copy
+of an older step that also carried the lines seen so far;
 test_refinement checks its sweeps against the enumeration oracles.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wcetbound import (
@@ -229,64 +230,75 @@ NONE = frozenset()
 def test_symbolic_resident_hit_follows_access():
     for policy, want in ((PROMOTE, (2, 1)), (FIFO, (1, 2))):
         config = CacheConfig(capacity=3, policy=policy)
-        assert symbolic_step({((1, 2), NONE)}, 2, H, {1, 2}, config) == {(want, NONE)}
-        assert symbolic_step({((1, 2), NONE)}, 2, M, {1, 2}, config) == set()
+        assert symbolic_step({((1, 2), NONE)}, 2, H, config) == {(want, NONE)}
+        assert symbolic_step({((1, 2), NONE)}, 2, M, config) == set()
     # a floating line is resident too, and a fifo hit on it moves nothing
     state = ((1,), frozenset({2}))
     config = CacheConfig(capacity=3, policy=FIFO)
-    assert symbolic_step({state}, 2, H, {1, 2}, config) == {state}
-    assert symbolic_step({state}, 2, M, {1, 2}, config) == set()
+    assert symbolic_step({state}, 2, H, config) == {state}
+    assert symbolic_step({state}, 2, M, config) == set()
 
 
-def test_symbolic_seen_line_not_resident_can_only_miss():
-    for policy in ReplacementPolicy:
-        config = CacheConfig(capacity=2, policy=policy)
-        assert symbolic_step({((1,), NONE)}, 3, H, {1, 3}, config) == set()
-        assert symbolic_step({((1,), NONE)}, 3, M, {1, 3}, config) == {((3, 1), NONE)}
+def test_symbolic_hit_on_an_absent_line_needs_room_not_novelty():
+    # promote: a state with room takes the line to the front, whatever
+    # came before
+    config = CacheConfig(capacity=2, policy=PROMOTE)
+    assert symbolic_step({((1,), NONE)}, 3, H, config) == {((3, 1), NONE)}
+    # fifo: 1 floats, and the miss on 2 pushes out the last ``?``, which
+    # held 1 or not; the state that lost 1 takes 1:H to its sibling, in
+    # which 1 still floats
+    config = CacheConfig(capacity=2, policy=FIFO)
+    states = {((), NONE)}
+    for line, cls in ((1, H), (2, M)):
+        states = symbolic_step(states, line, cls, config)
+    assert states == {((2,), frozenset({1})), ((2,), NONE)}
+    assert symbolic_step(states, 1, H, config) == {((2,), frozenset({1}))}
+    # and only the state that lost 1 takes 1:M
+    assert symbolic_step(states, 1, M, config) == {((1, 2), NONE)}
 
 
 def test_symbolic_unseen_fifo_hit_floats_until_the_question_marks_are_full():
     config = CacheConfig(capacity=5, policy=FIFO)
     # no slot is named: the line joins the floating set
-    got = symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, config)
+    got = symbolic_step({((1, 2), NONE)}, 7, H, config)
     assert got == {((1, 2), frozenset({7}))}
-    got = symbolic_step({((1, 2), frozenset({5, 6}))}, 7, H, {1, 2, 5, 6}, config)
+    got = symbolic_step({((1, 2), frozenset({5, 6}))}, 7, H, config)
     assert got == {((1, 2), frozenset({5, 6, 7}))}
     # three ``?``s hold three floating lines, so a fourth is refused
     full = ((1, 2), frozenset({5, 6, 7}))
-    assert symbolic_step({full}, 8, H, {1, 2, 5, 6, 7}, config) == set()
-    # a full cache with no ``?`` leaves no room for an unseen hit
-    assert symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, CacheConfig(2, policy=FIFO)) == set()
+    assert symbolic_step({full}, 8, H, config) == set()
+    # a full cache with no ``?`` leaves no room for a hit on an absent line
+    assert symbolic_step({((1, 2), NONE)}, 7, H, CacheConfig(2, policy=FIFO)) == set()
 
 
 def test_symbolic_unseen_promote_hit_has_one_successor():
     config = CacheConfig(capacity=4, policy=PROMOTE)
-    assert symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, config) == {((7, 1, 2), NONE)}
-    assert symbolic_step({((), NONE)}, 7, H, set(), config) == {((7,), NONE)}
-    assert symbolic_step({((1, 2), NONE)}, 7, M, {1, 2}, config) == {((7, 1, 2), NONE)}
-    assert symbolic_step({((1, 2), NONE)}, 7, H, {1, 2}, CacheConfig(2)) == set()
+    assert symbolic_step({((1, 2), NONE)}, 7, H, config) == {((7, 1, 2), NONE)}
+    assert symbolic_step({((), NONE)}, 7, H, config) == {((7,), NONE)}
+    assert symbolic_step({((1, 2), NONE)}, 7, M, config) == {((7, 1, 2), NONE)}
+    assert symbolic_step({((1, 2), NONE)}, 7, H, CacheConfig(2)) == set()
 
 
 def test_symbolic_miss_leaves_no_trailing_question_mark():
     # the pushed-out ``?`` is not stored, whatever the number left behind
     for capacity in (3, 4):
         config = CacheConfig(capacity=capacity, policy=FIFO)
-        assert symbolic_step({((1, 2), NONE)}, 5, M, {1, 2}, config) == {((5, 1, 2), NONE)}
+        assert symbolic_step({((1, 2), NONE)}, 5, M, config) == {((5, 1, 2), NONE)}
     config = CacheConfig(capacity=2, policy=FIFO)
-    assert symbolic_step({((1, 2), NONE)}, 5, M, {1, 2}, config) == {((5, 1), NONE)}
+    assert symbolic_step({((1, 2), NONE)}, 5, M, config) == {((5, 1), NONE)}
 
 
 def test_symbolic_miss_on_the_last_question_mark_may_evict_a_floating_line():
     config = CacheConfig(capacity=4, policy=FIFO)
     state = ((1, 2), frozenset({6}))
     # two ``?``s: the last one held the floating line, or the other one does
-    assert symbolic_step({state}, 5, M, {1, 2, 6}, config) == {
+    assert symbolic_step({state}, 5, M, config) == {
         ((5, 1, 2), frozenset({6})),
         ((5, 1, 2), NONE),
     }
     # one ``?`` left, holding 6 or 7: it goes, and the other stays floating
     state = ((1, 2), frozenset({6, 7}))
-    assert symbolic_step({state}, 5, M, {1, 2, 6, 7}, config) == {
+    assert symbolic_step({state}, 5, M, config) == {
         ((5, 1, 2), frozenset({7})),
         ((5, 1, 2), frozenset({6})),
     }
@@ -296,17 +308,70 @@ def test_symbolic_miss_on_the_last_question_mark_may_evict_a_floating_line():
 @given(
     st.integers(1, 4),
     st.sampled_from(list(ReplacementPolicy)),
-    st.lists(st.integers(0, 5), max_size=4, unique=True),
+    st.lists(st.integers(0, 5), min_size=4, max_size=4, unique=True),
     st.integers(0, 5),
     st.sampled_from([H, M]),
-    st.sets(st.integers(0, 5)),
 )
-def test_symbolic_step_is_access_on_known_states(
-    capacity, policy, state, line, cls, more_seen
-):
+def test_symbolic_step_is_access_on_known_states(capacity, policy, state, line, cls):
     config = CacheConfig(capacity=capacity, policy=policy)
-    state = tuple(state[:capacity])
-    seen = set(state) | {line} | more_seen
+    state = tuple(state[:capacity])  # full: no ``?`` is left
     nxt, got = access(state, line, config)
     want = {(nxt, NONE)} if got is cls else set()
-    assert symbolic_step({(state, NONE)}, line, cls, seen, config) == want
+    assert symbolic_step({(state, NONE)}, line, cls, config) == want
+
+
+def seen_step(states, line, cls, seen, config):
+    """The symbolic step that also takes ``seen``, the lines accessed
+    before this one, and lets only a line not in ``seen`` hit in a ``?``.
+    ``symbolic_step`` drops ``seen`` and must keep the same states."""
+    fresh = line not in seen
+    fifo = config.policy is FIFO
+    successors = set()
+    for known, floating in states:
+        if line in floating:
+            if cls is H:
+                successors.add((known, floating))
+            continue
+        nxt, got = access(known, line, config)
+        gaps = config.capacity - len(known)
+        if got is not cls:
+            if fresh and cls is H and len(floating) < gaps:
+                successors.add(
+                    (known, floating | {line}) if fifo else ((line,) + known, floating)
+                )
+        elif got is H or not gaps:
+            successors.add((nxt, floating))
+        else:
+            if len(floating) < gaps:
+                successors.add((nxt, floating))
+            successors.update((nxt, floating - {f}) for f in floating)
+    return successors
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.sampled_from(list(ReplacementPolicy)),
+    st.lists(st.integers(0, 8), max_size=6, unique=True),
+    st.lists(st.integers(1, 8), max_size=14),
+    st.none() | st.integers(0, 13),
+)
+# 1 floats and is pushed out of the last ``?`` by 2 in one state only; 1:H
+# then keeps just the state where 1 still floats, and 1:M just the other
+@example(2, FIFO, [1], [1, 2, 1], None)
+@example(2, FIFO, [1], [1, 2, 1], 2)
+def test_symbolic_step_without_seen_lines_matches_the_seen_step(
+    capacity, policy, start, pcs, flip
+):
+    config = CacheConfig(capacity=capacity, policy=policy)
+    trace = [(a.line, a.cls) for a in simulate(config, tuple(start[:capacity]), pcs)]
+    if flip is not None and flip < len(trace):
+        line, cls = trace[flip]
+        trace[flip] = (line, M if cls is H else H)
+    new = old = {((), NONE)}
+    seen = set()
+    for line, cls in trace:
+        new = symbolic_step(new, line, cls, config)
+        old = seen_step(old, line, cls, seen, config)
+        seen.add(line)
+        assert new == old

@@ -46,7 +46,7 @@ from wcetbound import (
     trace_time,
 )
 import wcetbound.refinement as refinement
-from wcetbound.cache import Sweep, infeasible_prefix
+from wcetbound.cache import Sweep
 from wcetbound.refinement import candidate_initial_states
 
 H = Classification.HIT
@@ -217,7 +217,7 @@ def test_feasibility_matches_the_full_family_oracle(steps, capacity, policy):
 def test_sweep_verdict_matches_the_full_family_oracle(steps, capacity, policy):
     config = CacheConfig(capacity=capacity, policy=policy)
     trace = tr(*steps)
-    prefix = infeasible_prefix(trace, config)
+    prefix = Sweep(config).infeasible_prefix(trace)
     assert (prefix is None) == oracle_feasible(trace, config)[0]
     if prefix is not None:
         # the sweep stops at the first access no start state realizes
@@ -353,7 +353,7 @@ def test_a_sweep_kept_across_traces_answers_as_fresh_ones():
             for trace in traces:
                 prefix = kept.infeasible_prefix(trace)
                 core = infeasible_core(trace, config, kept)
-                assert prefix == infeasible_prefix(trace, config)
+                assert prefix == Sweep(config).infeasible_prefix(trace)
                 assert core == infeasible_core(trace, config)
                 assert prefix == forgetful.infeasible_prefix(trace)
                 assert core == infeasible_core(trace, config, forgetful)
@@ -403,7 +403,7 @@ def test_core_at_a_huge_capacity_answers_in_bounded_memory():
 
     def limit_address_space():
         _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))
+        resource.setrlimit(resource.RLIMIT_AS, (400_000 * 1024, hard))
 
     proc = subprocess.run(
         [sys.executable, "-c", code],
