@@ -31,6 +31,15 @@ column, and keeps only the blocks reachable from the initial one.
 ``intersect`` is the product and ``minimize`` the quotient; ``subtract``
 reads the complement of its right operand off that operand's table and
 feeds the product's table to the quotient, so it builds one automaton.
+
+The automata this module builds from its own tables (products, quotients
+and ``infix_language`` results) skip the constructor's table checks,
+which cannot fail on them; a direct ``ClassifierAutomaton(...)``,
+``parse_model`` and ``from_pattern`` keep them.  A quotient is a minimal
+complete DFA, so at most one of its states accepts nothing: the rejecting
+one whose row points only to itself.  ``minimize`` and ``subtract`` hand
+that live set over with their result, so a refinement round never
+searches the new model backwards for it.
 """
 
 from __future__ import annotations
@@ -102,8 +111,10 @@ class ClassifierAutomaton:
 
     @cached_property
     def live_states(self) -> frozenset[int]:
-        """States from which some accepting state is reachable, computed
-        once per automaton: ``lens`` and the product share it."""
+        """States from which some accepting state is reachable, shared by
+        ``lens`` and the product.  ``minimize`` and ``subtract`` results
+        carry it from their construction; any other automaton computes it
+        once, by a backward search from the accepting states."""
         return _coreach(self.transitions, self.accepting)
 
     def lens(self, lines: Iterable[int]) -> Callable[[int, int], list]:
@@ -277,10 +288,29 @@ def _quotient(table, accepting, initial):
     )
 
 
-def _automaton(a: ClassifierAutomaton, rows, accepting) -> ClassifierAutomaton:
-    return ClassifierAutomaton(
-        alphabet=a.alphabet, initial=0, accepting=accepting, transitions=tuple(rows)
+def _built(alphabet, rows, accepting, live=None) -> ClassifierAutomaton:
+    """An automaton over rows this module built, with initial state 0: the
+    table holds by construction, so ``__post_init__``'s checks are skipped.
+    ``live``, when given, becomes its ``live_states``."""
+    a = object.__new__(ClassifierAutomaton)
+    fields = vars(a)
+    fields.update(
+        alphabet=alphabet, initial=0, accepting=accepting, transitions=tuple(rows)
     )
+    if live is not None:
+        fields["live_states"] = live
+    return a
+
+
+def _minimal(alphabet, rows, accepting) -> ClassifierAutomaton:
+    """The quotient ``rows``, with its live set: every state but the
+    rejecting one, if any, whose row points only to itself."""
+    width = len(alphabet)
+    dead = [
+        q for q, row in enumerate(rows) if row.count(q) == width and q not in accepting
+    ]
+    live = frozenset(range(len(rows))).difference(dead)
+    return _built(alphabet, rows, accepting, live)
 
 
 def intersect(
@@ -290,7 +320,7 @@ def intersect(
     both live, numbered as ``_product`` states.  The language is that of
     the full product."""
     _same_alphabet(a, b)
-    return _automaton(a, *_product(a, b, b.accepting, b.live_states))
+    return _built(a.alphabet, *_product(a, b, b.accepting, b.live_states))
 
 
 def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
@@ -298,9 +328,10 @@ def minimize(a: ClassifierAutomaton) -> ClassifierAutomaton:
 
     A state's block depends on its own language only, and ``_quotient``'s
     BFS keeps only the reachable blocks, so equal-language minimal
-    automata come out structurally identical.
+    automata come out structurally identical.  The result carries its
+    live set.
     """
-    return _automaton(a, *_quotient(a.transitions, a.accepting, a.initial))
+    return _minimal(a.alphabet, *_quotient(a.transitions, a.accepting, a.initial))
 
 
 def subtract(
@@ -310,12 +341,13 @@ def subtract(
     ``minimize(intersect(a, complement(o)))``.  The complement is read
     straight off o's table: its accepting states are o's rejecting ones,
     and its live states those that reach one.  The product's table goes
-    straight into ``_quotient``, so the result is the only automaton built.
+    straight into ``_quotient``, so the result is the only automaton built,
+    and it carries its live set.
     """
     _same_alphabet(a, o)
     rejecting = frozenset(range(o.n_states)) - o.accepting
     rows, accepting = _product(a, o, rejecting, _coreach(o.transitions, rejecting))
-    return _automaton(a, *_quotient(rows, accepting, 0))
+    return _minimal(a.alphabet, *_quotient(rows, accepting, 0))
 
 
 def infix_language(
@@ -352,12 +384,7 @@ def infix_language(
         rows.append(row)
         border = rows[border][cols[q]]
     rows.append([m] * len(alpha))
-    return ClassifierAutomaton(
-        alphabet=alpha,
-        initial=0,
-        accepting=frozenset({m}),
-        transitions=tuple(map(tuple, rows)),
-    )
+    return _built(alpha, map(tuple, rows), frozenset({m}))
 
 
 # --- pattern expressions ---------------------------------------------------

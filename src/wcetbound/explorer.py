@@ -8,15 +8,18 @@ location plus the witness trace attaining it.  Since the residual depends
 only on the product state, states differing in accumulated clock merge,
 which is what keeps counts far below the run count.
 
-The walk is one memoized post-order over a plain stack of product states,
-each an int: ``component id * n + location``, where the locations are the
-n numbers of ``ensure_bounded``'s graph and component ids count the
-components in the order the walk meets them.  A state is expanded when it
-is first popped: it pushes its own complement (``~state``), then its
-successors that are not yet memoized.  Popping the complement, once they
-are all memoized, combines the state from their entries; a state with
-none to push is combined at once.  A state pushed twice is skipped once
-memoized.
+A product state is an int, ``component id * n + location``, where the
+locations are the n numbers of ``ensure_bounded``'s graph and component
+ids count the components in the order the walk meets them.  Every edge of
+that graph goes to a smaller number, so the walk needs no stack.  One loop
+from the entry (n - 1) down to the end (0) collects the components that
+reach each location: when it comes to a location, all of that location's
+predecessors are done, so its set is complete; it enters the location's
+states in the memo and adds their successors to the sets of the
+destinations.  The memo then holds the reachable states in descending
+location order, and one loop back over it, from the end up, combines each
+state from its successors' entries, which are final by then.  Only the
+sets of the locations still ahead of the first loop are kept.
 
 Memo format: a product state maps to ``(time, first step, next state)`` of
 its best run, to ``(0, None, None)`` at the end location, or to None when
@@ -87,7 +90,8 @@ def _best_runs(
     start,
     outcomes: Callable[[object, int], Iterable[tuple[Classification, object]]],
 ) -> tuple[tuple[int, ClassifiedTrace] | None, int]:
-    """Memoized post-order from ``(program.entry, start)``.
+    """Best runs of the product states reachable from ``(program.entry,
+    start)``, walked in graph-number order (see the module docstring).
     ``outcomes(component, line)`` lists the (classification, next component)
     choices of one access, Hit first.
 
@@ -128,33 +132,27 @@ def _best_runs(
         made = moves[cid][pc] = tuple(made)
         return made
 
+    # Filled in descending location order; None until the second loop.
     memo: dict[int, tuple | None] = {}
     root = n - 1  # component 0 at the entry
-    stack = [root]
-    while stack:
-        key = stack.pop()
-        if key >= 0:
-            if key in memo:
-                continue
-            cid, loc = divmod(key, n)
+    reach: dict[int, set[int]] = {root: {0}}  # location -> its component ids
+    for loc in range(root, -1, -1):
+        edges = graph[loc]
+        for cid in reach.pop(loc, ()):
+            memo[cid * n + loc] = None
             mine = moves[cid]
-            stack.append(~key)
-            depth = len(stack)
-            for pc, dst in graph[loc]:
+            for pc, dst in edges:
                 made = mine.get(pc)
                 if made is None:
                     made = moves_of(cid, pc)
+                at = reach.get(dst)
+                if at is None:
+                    at = reach[dst] = set()
                 for _, _, nid in made:
-                    nxt = nid * n + dst
-                    if nxt not in memo:
-                        stack.append(nxt)
-            if len(stack) > depth:
-                continue
-            stack.pop()
-        else:
-            key = ~key
-            cid, loc = divmod(key, n)
-            mine = moves[cid]
+                    at.add(nid)
+    for key in reversed(memo):
+        cid, loc = divmod(key, n)
+        mine = moves[cid]
         best = (0, None, None) if loc == 0 else None
         for pc, dst in graph[loc]:
             for step, cost, nid in mine[pc]:
@@ -170,14 +168,18 @@ def _best_runs(
                 ):
                     best = cand
         memo[key] = best
-    best = entry = memo[root]
+    best = memo[root]
     if best is None:
         return None, len(memo)
-    witness = []
+    return (best[0], tuple(_chain(memo, best))), len(memo)
+
+
+def _chain(memo: dict, entry: tuple):
+    """The steps of the run of memo entry ``entry``, read off the memo.  A
+    generator, so the witness is built as one tuple with no list beside it."""
     while entry[1] is not None:
-        witness.append(entry[1])
+        yield entry[1]
         entry = memo[entry[2]]
-    return (best[0], tuple(witness)), len(memo)
 
 
 def explore_explicit(

@@ -666,6 +666,70 @@ def test_lens_matches_a_walk_of_the_drawn_table(dfa, lines):
             assert choices(q, line) == [(c, r) for c, r in expected if r in live]
 
 
+# --- results that carry their live set ---------------------------------------
+# ``minimize`` and ``subtract`` hand over the live set of their result, read
+# off the minimal table, and every automaton the module builds from its own
+# table skips the constructor's checks.  Both are checked here on the
+# result, against a backward search of its table and against the checks.
+
+
+def backward_live(a: ClassifierAutomaton) -> frozenset:
+    """States of a's table from which an accepting state is reachable: a
+    fixed point over the whole table, grown backwards from the accepting
+    states."""
+    live = set(a.accepting)
+    while True:
+        more = {q for q, row in enumerate(a.transitions) if live.intersection(row)}
+        if more <= live:
+            return frozenset(live)
+        live |= more
+
+
+@st.composite
+def empty_alphabet_automata(draw):
+    """An automaton over no symbols: each state's row is empty."""
+    n = draw(st.integers(1, 3))
+    state = st.integers(0, n - 1)
+    return ClassifierAutomaton(
+        alphabet=(), initial=draw(state),
+        accepting=frozenset(draw(st.sets(state))), transitions=((),) * n,
+    )
+
+
+@st.composite
+def update_operands(draw):
+    """(a, o) for ``subtract(a, o)``: a drawn table, sometimes with no
+    accepting state, less the infix language of a drawn core, as in a
+    refinement round; or, one time in six, two automata over the empty
+    alphabet, which no core can be drawn from."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(empty_alphabet_automata()), draw(empty_alphabet_automata())
+    table, initial, accepting = draw(ANY_TABLE | tables_with_unreachable_states())
+    if draw(st.integers(0, 3)) == 0:
+        accepting = frozenset()
+    core = draw(st.lists(st.sampled_from(ALPHABET_12), min_size=1, max_size=4))
+    return automaton_of((table, initial, accepting)), infix_language(core, ALPHABET_12)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(update_operands())
+@example((automaton_of(LIVE_REJECTING), infix_language([sym(1, "H")], ALPHABET_12)))
+def test_update_results_carry_their_live_set(operands):
+    a, o = operands
+    reduced, difference = minimize(a), subtract(a, o)
+    for got in (reduced, difference):
+        # set when the automaton is built, not computed on first use
+        assert "live_states" in vars(got)
+        assert got.live_states == backward_live(got)
+    # the checks that the module's own automata skip could not have failed
+    for got in (reduced, difference, intersect(a, o), o):
+        again = ClassifierAutomaton(
+            alphabet=got.alphabet, initial=got.initial,
+            accepting=got.accepting, transitions=got.transitions,
+        )
+        assert tables(again) == tables(got)
+
+
 MODEL_TEXT = """
 # accepts repetitions of Miss,Hit,Miss,Miss over line 1
 alphabet 1:H 1:M

@@ -15,13 +15,19 @@ from hypothesis import strategies as st
 
 from conftest import chain_program, oracle_runs, random_program, same_pc_forks
 from wcetbound import (
+    AbstractModelEmpty,
     BoundExceeded,
+    CacheConfig,
     Edge,
     ParseError,
     Program,
     ValidationError,
     branching_loop_program,
     ensure_bounded,
+    explore_abstract,
+    explore_explicit,
+    from_pattern,
+    hit_or_miss,
     parse_program,
     serialize_program,
 )
@@ -58,6 +64,23 @@ def test_entry_equal_end_has_exactly_the_empty_run():
     p = Program.build("p", "A", "A", [])
     assert oracle_runs(p, 10) == [()]
     assert single_run(p) == ()
+
+
+def test_entry_equal_end_explores_to_the_empty_witness():
+    # a one-location graph: the explorer's walk starts and ends at the end
+    p = Program.build("p", "A", "A", [])
+    assert ensure_bounded(p) == ((),)
+    config = CacheConfig(capacity=2)
+    for result in (
+        explore_explicit(p, config),
+        explore_explicit(p, config, (7, 3)),
+        explore_abstract(p, hit_or_miss(p.lines(config)), config),
+        explore_abstract(p, from_pattern("(M.H)*", p.lines(config)), config),
+    ):
+        assert (result.wcet, result.witness, result.states_explored) == (0, (), 1)
+    # with no line, a pattern that needs a letter accepts no word at all
+    with pytest.raises(AbstractModelEmpty):
+        explore_abstract(p, from_pattern("M.M", p.lines(config)), config)
 
 
 def test_dead_end_location_is_allowed_but_pruned_from_language():
@@ -212,6 +235,25 @@ def test_program_walk_matches_a_brute_force_oracle(program):
         # a simple path has fewer steps than there are locations
         runs = oracle_runs(program, len(program.locations))
         assert longest_run(program) == max(map(len, runs))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(
+    st.randoms(use_true_random=False).map(random_digraph),
+    st.randoms(use_true_random=False).map(random_program),
+))
+def test_every_graph_edge_goes_to_a_smaller_number(program):
+    # the explorer walks the graph by number, from the entry down, and
+    # relies on this order: a location's predecessors all come before it
+    try:
+        graph = ensure_bounded(program)
+    except BoundExceeded:
+        return
+    assert graph[0] == ()  # the end
+    for i, edges in enumerate(graph):
+        assert all(dst < i for _, dst in edges)
+    # every location of the graph but the entry has a predecessor
+    assert {dst for edges in graph for _, dst in edges} == set(range(len(graph) - 1))
 
 
 def reference_program(name, entry, end, edges, durations):
