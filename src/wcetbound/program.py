@@ -6,13 +6,18 @@ from the entry location to the end location.  Loop counters are part of the
 location identity, so bounded loops appear unrolled and the automaton of a
 bounded program is acyclic.
 
-Building a ``Program`` makes one successor map of its edges and one walk
-over it, a post-order from the entry (``_walk``).  The walk checks that
-every location is reachable, numbers the locations that can reach the end
-with ints, gives their (pc, destination number) edges and longest runs,
-and detects a cycle among them.  ``ensure_bounded``, ``longest_run`` and
-``single_run`` read its result; only a cycle's error message takes another
-pass, to name the location.
+A ``Program`` keeps one successor map: each location's (pc, destination)
+edges, without repeats, made from the edge lines ``parse_program`` reads
+or the edges given to ``Program`` or ``Program.build``, with one string
+per name.  Building it makes one walk over that map, a post-order
+from the entry (``_walk``).  The walk checks that every location is
+reachable, numbers the locations that can reach the end with ints, gives
+their (pc, destination number) edges and longest runs, and detects a cycle
+among them.  ``ensure_bounded``, ``longest_run`` and ``single_run`` read
+its result; only a cycle's error message takes another pass, to name the
+location.  ``Program.edges``, the sorted tuple of ``Edge``, is made from
+the map on first use (a hash, ``serialize_program``, an error that
+names an edge) and then kept; no analysis reads it.
 
 Also provides the parametric branching-loop generator used throughout the
 test corpus, and the text file format.
@@ -21,8 +26,7 @@ test corpus, and the text file format.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import FrozenInstanceError
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .cache import CacheConfig
@@ -30,6 +34,8 @@ from .errors import BoundExceeded, ParseError, ValidationError, token_lines
 
 # Per location number, its (pc, destination number) edges: see ensure_bounded.
 Graph = tuple[tuple[tuple[int, int], ...], ...]
+# Per location with edges, its (pc, destination) edges: see _successors.
+Successors = dict[str, list[tuple[int, str]]]
 # A character a name may not hold; ``\s`` matches what ``str.isspace`` does.
 _NOT_IN_NAME = re.compile(r"[\s#]")
 
@@ -43,19 +49,65 @@ class Edge(NamedTuple):
         return f"edge {self.src} {self.dst} pc={self.pc}"
 
 
-@dataclass(frozen=True, eq=True)
+def _successors(edges: Iterable[tuple[str, int, str] | Edge]) -> Successors:
+    """The successor map of ``edges``: each source location's (pc,
+    destination) edges, without repeats and in (pc, destination) order.
+    Only a location with more than one edge is sorted.  Each name is kept
+    as one string, however often it occurs."""
+    succ: Successors = {}
+    shared = {}.setdefault
+    for src, pc, dst in edges:
+        out = succ.get(src)
+        if out is None:
+            succ[shared(src, src)] = [(pc, shared(dst, dst))]
+        else:
+            out.append((pc, shared(dst, dst)))
+    return _deduped(succ)
+
+
+def _deduped(succ: Successors) -> Successors:
+    """Sorts and dedupes, in place, each list of ``succ`` that has more
+    than one edge."""
+    for src, out in succ.items():
+        if len(out) > 1:
+            succ[src] = sorted(set(out))
+    return succ
+
+
+def _pcs(succ: Successors) -> set[int]:
+    return {pc for out in succ.values() for pc, _ in out}
+
+
 class Program:
+    """A program: its name, entry, end, successor map and pc durations.
+
+    ``Program(name, entry, end, edges, durations)`` takes the durations as
+    given; ``build`` defaults every pc to 1.  Both, and ``parse_program``,
+    turn the edges into one successor map (see ``_successors``) and check
+    and walk it once (``_setup``).  ``edges``, the canonical tuple, is
+    made from the map on first use.  Immutable; programs with the same
+    fields and the same set of edges are equal and hash equally, in
+    whatever order and with whatever repeats the edges were given.
+    """
+
+    __slots__ = ("name", "entry", "end", "durations", "_succ", "_edges", "_walked")
+
     name: str
     entry: str
     end: str
-    # In ``build``'s sorted order, which the walk follows.
-    edges: tuple[Edge, ...]
-    # Left out of the hash because a dict is unhashable; equal programs
-    # still hash equally.
-    durations: dict[int, int] = field(default_factory=dict, hash=False)
+    durations: dict[int, int]
 
-    def __post_init__(self) -> None:
-        self._validate()
+    def __init__(
+        self,
+        name: str,
+        entry: str,
+        end: str,
+        edges: Iterable[tuple[str, int, str] | Edge],
+        durations: dict[int, int] | None = None,
+    ) -> None:
+        succ = _successors(edges)
+        durations = {} if durations is None else durations
+        self._setup(name, entry, end, succ, durations, _pcs(succ))
 
     @classmethod
     def build(
@@ -66,11 +118,23 @@ class Program:
         edges: Iterable[tuple[str, int, str] | Edge],
         durations: Mapping[int, int] | None = None,
     ) -> "Program":
-        """Canonical constructor: sorts and dedupes edges, and defaults
-        every unlisted pc duration to 1."""
-        # Sort and dedupe plain tuples; only the distinct ones become Edges.
-        canon = tuple(map(Edge._make, sorted(set(map(tuple, edges)))))
-        durs = dict.fromkeys(sorted(set(map(itemgetter(1), canon))), 1)
+        """Canonical constructor: dedupes edges, and defaults every unlisted
+        pc duration to 1."""
+        succ = _successors(edges)
+        return cls._defaulted(name, entry, end, succ, durations, _pcs(succ))
+
+    @classmethod
+    def _defaulted(
+        cls,
+        name: str,
+        entry: str,
+        end: str,
+        succ: Successors,
+        durations: Mapping[int, int] | None,
+        pcs: set[int],
+    ) -> "Program":
+        """``build`` from a successor map and the set of its pcs."""
+        durs = dict.fromkeys(sorted(pcs), 1)
         if durations:
             for pc, dur in durations.items():
                 if pc not in durs:
@@ -78,31 +142,37 @@ class Program:
                         f"duration given for pc={pc}, which no edge executes"
                     )
                 durs[pc] = dur
-        return cls(name, entry, end, canon, durs)
+        program = cls.__new__(cls)
+        program._setup(name, entry, end, succ, durs, pcs)
+        return program
 
-    @property
-    def locations(self) -> frozenset[str]:
-        """The entry, the end and every edge's endpoints."""
-        ends = ((e.src, e.dst) for e in self.edges)
-        return frozenset({self.entry, self.end}.union(*ends))
-
-    def _validate(self) -> None:
-        """Check the program and walk its graph once (see ``_walk``); the
-        instance keeps what ``ensure_bounded`` and ``longest_run`` read.
-        Every location must be reachable from the entry: the walk covers
-        them all, so a location it does not reach is an error."""
-        edges, end, durations = self.edges, self.end, self.durations
-        # ``build``'s edges are sorted, so each list is in (pc, dst) order.
-        succ: dict[str, list[Edge]] = {}
-        for e in edges:
-            out = succ.get(e.src)
-            if out is None:
-                out = succ[e.src] = []
-            out.append(e)
-        # One test over every edge; only a failure scans them to name one.
-        pcs = set(map(itemgetter(1), edges))
+    def _setup(
+        self,
+        name: str,
+        entry: str,
+        end: str,
+        succ: Successors,
+        durations: dict[int, int],
+        pcs: set[int],
+    ) -> None:
+        """Keep the fields, then check the program and walk its graph once
+        (see ``_walk``); the instance keeps what ``ensure_bounded`` and
+        ``longest_run`` read.  Every location must be reachable from the
+        entry: the walk covers them all, so a location it does not reach
+        is an error."""
+        for attr, value in (
+            ("name", name),
+            ("entry", entry),
+            ("end", end),
+            ("durations", durations),
+            ("_succ", succ),
+            ("_edges", None),
+        ):
+            object.__setattr__(self, attr, value)
+        # One test over every edge; only a failure scans the canonical
+        # edges to name the first bad one.
         if end in succ or min(pcs, default=1) < 1 or not pcs <= durations.keys():
-            for e in edges:
+            for e in self.edges:
                 if e.pc < 1:
                     raise ValidationError(f"{e}: pc must be >= 1, got {e.pc}")
                 if e.src == end:
@@ -114,19 +184,63 @@ class Program:
         for pc, dur in durations.items():
             if dur < 0:
                 raise ValidationError(f"duration for pc={pc} must be >= 0")
-        seen, graph, runs, targets = _walk(self.entry, end, succ)
+        seen, graph, runs, targets = _walk(entry, end, succ)
         # Every edge out of a reached location reaches its destination.
         if end not in seen or not succ.keys() <= seen.keys():
             locations = self.locations
-            _check_names(self.name, locations)
+            _check_names(name, locations)
             raise ValidationError(
                 f"locations unreachable from entry: {sorted(locations - seen.keys())}"
             )
-        _check_names(self.name, seen.keys())
+        _check_names(name, seen.keys())
         # A cycle reaches the end exactly when a back-edge target does (see
         # ``_walk``); the error names one only when it is raised.
         cycle = targets if any(seen[t] >= 0 for t in targets) else None
         object.__setattr__(self, "_walked", (tuple(graph), runs[-1], cycle))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge once, sorted by (src, pc, dst); made on first use."""
+        edges = self._edges
+        if edges is None:
+            succ = self._succ
+            edges = tuple(
+                Edge(src, pc, dst) for src in sorted(succ) for pc, dst in succ[src]
+            )
+            object.__setattr__(self, "_edges", edges)
+        return edges
+
+    @property
+    def locations(self) -> frozenset[str]:
+        """The entry, the end and every edge's endpoints."""
+        succ = self._succ
+        dsts = (dst for out in succ.values() for _, dst in out)
+        return frozenset({self.entry, self.end, *succ, *dsts})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Equal successor maps are equal canonical edge tuples.
+        return (self.name, self.entry, self.end, self._succ, self.durations) == (
+            other.name, other.entry, other.end, other._succ, other.durations
+        )
+
+    def __hash__(self) -> int:
+        # The durations dict is unhashable and left out; equal programs
+        # still hash equally.
+        return hash((self.name, self.entry, self.end, self.edges))
+
+    def __repr__(self) -> str:
+        return (
+            f"Program(name={self.name!r}, entry={self.entry!r}, end={self.end!r}, "
+            f"edges={self.edges!r}, durations={self.durations!r})"
+        )
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
 
     def lines(self, config: CacheConfig) -> tuple[int, ...]:
         return tuple(sorted({config.line_of(pc) for pc in self.durations}))
@@ -151,7 +265,7 @@ _OPEN = -2  # ``_walk``'s mark of a location whose successors are not done
 
 
 def _walk(
-    entry: str, end: str, succ: Mapping[str, list[Edge]]
+    entry: str, end: str, succ: Successors
 ) -> tuple[dict[str, int], list[tuple[tuple[int, int], ...]], list[int], list[str]]:
     """The one walk of a program: a post-order over a plain stack from the
     entry.  A location is opened when it first reaches the top, which pushes
@@ -196,7 +310,7 @@ def _walk(
         mark = seen.get(loc)
         if mark is None:
             seen[loc] = _OPEN
-            for _, _, dst in succ.get(loc, ()):
+            for _, dst in succ.get(loc, ()):
                 got = seen.get(dst)
                 if got is None:
                     stack.append(dst)
@@ -208,7 +322,7 @@ def _walk(
             continue
         run = 0 if loc == end else -1
         out = []
-        for _, pc, dst in succ.get(loc, ()):
+        for pc, dst in succ.get(loc, ()):
             got = seen[dst]
             if got >= 0:
                 out.append((pc, got))
@@ -226,8 +340,9 @@ def _walk(
 def co_reachable(program: Program) -> frozenset[str]:
     """Locations from which the end location is reachable (end included)."""
     pred: dict[str, list[str]] = {}
-    for src, _, dst in program.edges:
-        pred.setdefault(dst, []).append(src)
+    for src, out in program._succ.items():
+        for _, dst in out:
+            pred.setdefault(dst, []).append(src)
     seen = {program.end}
     todo = [program.end]
     while todo:
@@ -337,7 +452,10 @@ def parse_program(text: str) -> Program:
     header: dict[str, str] = {}
     durations: dict[int, int] = {}
     instr_line: dict[int, int] = {}
-    edges: list[tuple[str, int, str]] = []
+    # Filled as the edge lines are read, as in ``_successors``: no list of
+    # edges is kept beside it.
+    succ: Successors = {}
+    shared = {}.setdefault
 
     def kv(token: str, key: str, line_no: int) -> int:
         prefix = key + "="
@@ -349,14 +467,22 @@ def parse_program(text: str) -> Program:
             raise ParseError(f"expected integer after {prefix}", line_no) from None
 
     for line_no, tokens in token_lines(text):
-        # The short path of a well-formed edge line, which cannot fail; any
-        # other line, a malformed edge included, takes the checks below.
+        # The short path of a well-formed edge line, which cannot fail and
+        # is the only one that adds an edge; any other line, a malformed
+        # edge included, takes the checks below.
         if len(tokens) == 4 and tokens[0] == "edge" and tokens[3][:3] == "pc=":
             try:
-                edges.append((tokens[1], int(tokens[3][3:]), tokens[2]))
-                continue
+                pc = int(tokens[3][3:])
             except ValueError:
                 pass
+            else:
+                _, src, dst, _ = tokens
+                out = succ.get(src)
+                if out is None:
+                    succ[shared(src, src)] = [(pc, shared(dst, dst))]
+                else:
+                    out.append((pc, shared(dst, dst)))
+                continue
         directive, *args = tokens
         if directive in once:
             if directive in header:
@@ -378,25 +504,24 @@ def parse_program(text: str) -> Program:
             durations[pc] = dur
             instr_line[pc] = line_no
         elif directive == "edge":
-            if len(args) != 3:
-                raise ParseError(
-                    "edge takes <from> <to> pc=<int>", line_no
-                )
-            pc = kv(args[2], "pc", line_no)
-            edges.append((args[0], pc, args[1]))
+            # A well-formed edge line took the short path, so this raises:
+            # on the pc token, or for the count of tokens.
+            if len(args) == 3:
+                kv(args[2], "pc", line_no)
+            raise ParseError("edge takes <from> <to> pc=<int>", line_no)
         else:
             raise ParseError(f"unknown directive {directive!r}", line_no)
 
     for directive in once:
         if directive not in header:
             raise ValidationError(f"missing {directive} directive")
-    executed = set(map(itemgetter(1), edges))
+    executed = _pcs(_deduped(succ))
     for pc, line_no in instr_line.items():
         if pc not in executed:
             raise ParseError(
                 f"duration given for pc={pc}, which no edge executes", line_no
             )
-    return Program.build(*(header[d] for d in once), edges, durations)
+    return Program._defaulted(*(header[d] for d in once), succ, durations, executed)
 
 
 def serialize_program(program: Program) -> str:

@@ -31,6 +31,8 @@ from wcetbound import (
     parse_program,
     serialize_program,
 )
+from wcetbound import program as program_module
+from wcetbound.cli import main
 from wcetbound.program import longest_run, single_run
 
 
@@ -170,6 +172,10 @@ def test_equal_programs_hash_equally():
     a, b = branching_loop_program(2, 1), branching_loop_program(2, 1)
     assert a == b and hash(a) == hash(b)
     assert len({a, b, branching_loop_program(2, 2)}) == 2
+    # immutable, so the walk made at construction stays true
+    for attr in ("name", "end", "edges", "durations"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
 
 
 def test_branching_loop_duration_overrides():
@@ -592,3 +598,217 @@ def test_parse_round_trip_keeps_the_walk(program):
     else:
         assert ensure_bounded(again) == graph
         assert longest_run(again) == longest
+
+
+@st.composite
+def listed_programs(draw):
+    """A program file's text and the fields it lists: a tree from the entry
+    over up to eight locations plus random edges (self-loops, cycles, forks
+    on one pc), each edge listed one to three times, some instr lines, all
+    in shuffled order, with comments and blank lines among them."""
+    n = draw(st.integers(1, 8))
+    locs = [f"L{i}" for i in range(n)]
+    edges = [
+        (draw(st.sampled_from(locs[:i])), draw(st.integers(1, 4)), locs[i])
+        for i in range(1, n)
+    ]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 2 * n))):
+            src = draw(st.sampled_from(locs[:-1]))
+            edges.append((src, draw(st.integers(1, 4)), draw(st.sampled_from(locs))))
+    listed = draw(st.permutations([e for e in edges for _ in range(draw(st.integers(1, 3)))]))
+    pcs = sorted({pc for _, pc, _ in edges})
+    durations = draw(st.dictionaries(st.sampled_from(pcs), st.integers(0, 5))) if pcs else {}
+    lines = ["program g", f"entry {locs[0]}", f"end {locs[-1]}"]
+    lines += [f"instr pc={pc} dur={dur}" for pc, dur in durations.items()]
+    lines += [f"edge {src} {dst} pc={pc}" for src, pc, dst in listed]
+    text = []
+    for line in draw(st.permutations(lines)):
+        if draw(st.integers(0, 3)) == 0:
+            text.append(draw(st.sampled_from(["", "   ", "# a note", "\t# edge A B pc=1"])))
+        text.append(line + draw(st.sampled_from(["", " ", "  # why"])))
+    return "\n".join(text) + "\n", ("g", locs[0], locs[-1], listed, durations)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(listed_programs())
+def test_parse_build_and_the_constructor_make_one_program(drawn):
+    # however the edges are listed, the three ways in give one program,
+    # whose edges are the sorted distinct ones, and one walk
+    text, (name, entry, end, listed, durations) = drawn
+    canonical = tuple(map(Edge._make, sorted(set(listed))))
+    full = dict.fromkeys(sorted({pc for _, pc, _ in canonical}), 1)
+    full.update(durations)
+    programs = [
+        parse_program(text),
+        Program.build(name, entry, end, listed, durations),
+        Program(name, entry, end, canonical, full),
+        Program(name, entry, end, listed, dict(full)),
+    ]
+    for program in programs:
+        assert program == programs[0]
+        assert hash(program) == hash((name, entry, end, canonical))
+        assert program.edges == canonical
+        assert all(type(e) is Edge for e in program.edges)
+        assert program.durations == full
+    graph, longest, single = reference_program(name, entry, end, canonical, full)
+    for program in programs:
+        if longest is None:
+            for query in (ensure_bounded, longest_run, single_run):
+                with pytest.raises(BoundExceeded) as got:
+                    query(program)
+                assert str(got.value) == graph
+        else:
+            assert ensure_bounded(program) == graph
+            assert longest_run(program) == longest
+            assert single_run(program) == single
+    once = serialize_program(programs[0])
+    assert serialize_program(parse_program(once)) == once
+
+
+def test_no_edge_is_made_on_the_analysis_path(tmp_path, monkeypatch, capsys):
+    # the canonical edge tuple is made only when asked for; parsing,
+    # building, exploring and the CLI's report never ask
+    made = []
+
+    class CountedEdge(Edge):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+        @classmethod
+        def _make(cls, iterable):
+            made.append(iterable)
+            return super()._make(iterable)
+
+    text = serialize_program(branching_loop_program(600, 2))
+    path, out = tmp_path / "deep.prog", tmp_path / "deep.out"
+    path.write_text(text)
+    monkeypatch.setattr(program_module, "Edge", CountedEdge)
+    program = parse_program(text)
+    assert explore_explicit(program, CacheConfig(capacity=3)).wcet > 0
+    assert ensure_bounded(branching_loop_program(100, 1))
+    argv = ["wcet", "explicit", str(path), "--capacity", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.stat().st_size > 0
+    assert made == []
+    # asked for, the tuple is made once and kept
+    assert serialize_program(program) == text
+    assert len(made) == len(program.edges) == 600 * 6
+    assert program.edges is program.edges and len(made) == 600 * 6
+
+
+_HEADER = "program p\nentry A\nend C\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message, code",
+    [
+        pytest.param(
+            _HEADER + "edge B C pc=1\nedge A B pc=1\nedge B C pc=0\n",
+            ValidationError, "edge B C pc=0: pc must be >= 1, got 0", 1,
+            id="pc0-not-first-in-file-order",
+        ),
+        pytest.param(
+            _HEADER + "edge B C pc=0\nedge A B pc=0\n",
+            ValidationError, "edge A B pc=0: pc must be >= 1, got 0", 1,
+            id="pc0-twice-names-the-first-in-sorted-order",
+        ),
+        pytest.param(
+            _HEADER + "edge A B pc=1\nedge B C pc=2\nedge C B pc=3\n",
+            ValidationError, "end location 'C' must have no outgoing edges", 1,
+            id="end-exits",
+        ),
+        pytest.param(
+            _HEADER + "edge C B pc=3\nedge A B pc=1\nedge B C pc=0\n",
+            ValidationError, "edge B C pc=0: pc must be >= 1, got 0", 1,
+            id="end-exits-after-a-pc0-edge-in-sorted-order",
+        ),
+        pytest.param(
+            _HEADER + "edge A B pc=1\nedge B C pc=2\nedge X C pc=3\nedge Y X pc=3\n",
+            ValidationError, "locations unreachable from entry: ['X', 'Y']", 1,
+            id="unreachable",
+        ),
+        pytest.param(
+            _HEADER + "edge A B pc=1\n",
+            ValidationError, "locations unreachable from entry: ['C']", 1,
+            id="end-unreachable",
+        ),
+        pytest.param(
+            _HEADER + "edge A B pc=1\nedge B A pc=2\nedge B C pc=3\n"
+            "edge C2 C2 pc=1\nedge A C2 pc=4\n",
+            BoundExceeded,
+            "cycle through location 'A' reaches the end: run lengths are unbounded", 2,
+            id="cycle-reaches-the-end",
+        ),
+        pytest.param(
+            # in file order the walk would open D first and name it
+            _HEADER + "edge A B pc=5\nedge A D pc=1\nedge D D pc=2\n"
+            "edge D C pc=1\nedge B A pc=1\n",
+            BoundExceeded,
+            "cycle through location 'A' reaches the end: run lengths are unbounded", 2,
+            id="two-cycles-named-in-sorted-order",
+        ),
+    ],
+)
+def test_file_errors_keep_their_messages_and_exit_codes(
+    tmp_path, capsys, text, error, message, code
+):
+    with pytest.raises(error) as err:
+        ensure_bounded(parse_program(text))
+    assert str(err.value) == message
+    path = tmp_path / "p.prog"
+    path.write_text(text)
+    assert main(["wcet", "explicit", str(path), "--capacity", "2"]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(
+            lambda: Program("p", "A", "C", (Edge("A", 1, "B"), Edge("B", 2, "C")), {1: 1}),
+            "edge B C pc=2: pc=2 has no duration",
+            id="pc-without-duration",
+        ),
+        pytest.param(
+            lambda: Program("p", "A", "C", (Edge("A", 3, "B"), Edge("B", 2, "C")), {}),
+            "edge A B pc=3: pc=3 has no duration",
+            id="no-durations",
+        ),
+        pytest.param(
+            lambda: Program.build("p", "A", "C", [("A", 1, "B x"), ("B x", 2, "C")]),
+            "location 'B x' must be nonempty, with no whitespace or '#'",
+            id="bad-location-name",
+        ),
+        pytest.param(
+            lambda: Program.build("p", "A", "C", [("A", 1, "C"), ("B x", 2, "C")]),
+            "location 'B x' must be nonempty, with no whitespace or '#'",
+            id="bad-name-of-an-unreachable-location",
+        ),
+    ],
+)
+def test_constructor_errors_keep_their_messages(make, message):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_duplicate_edge_lines_read_as_one(tmp_path, capsys):
+    once = _HEADER + "edge A B pc=1\nedge A B pc=3\nedge B C pc=2\n"
+    twice = (
+        _HEADER + "edge B C pc=2\nedge A B pc=1\nedge B C pc=2\n"
+        "edge A B pc=1 # again\nedge A B pc=3\n"
+    )
+    assert parse_program(twice) == parse_program(once)
+    path, out = tmp_path / "p.prog", tmp_path / "p.out"
+    seen = []
+    for text in (once, twice):
+        path.write_text(text)
+        assert main(["wcet", "explicit", str(path), "--capacity", "2", "--out", str(out)]) == 0
+        shown = capsys.readouterr().out.splitlines()
+        seen.append((out.read_bytes(), [line for line in shown if not line.startswith("elapsed:")]))
+    assert seen[0] == seen[1]
+    assert "wcet: 42 cycles" in seen[0][1]
